@@ -357,15 +357,14 @@ def throughput(full: bool = False, queries: int | None = None,
 
     Runs the Fig. 8a query mix against LinearScan, I-All and I-Hilbert
     (mmap-backed storage) through the
-    :class:`~repro.core.parallel.ParallelQueryEngine` at each worker
-    count, with the :class:`~repro.core.parallel.DeviceModel` turning
-    accounted page reads into real waits — the serving regime where
-    thread-level overlap pays.  Before the sweep each method's workload
-    is executed once through the serial
-    :class:`~repro.core.batch.BatchQueryEngine`; every parallel run is
-    then asserted to return identical per-query answers and identical
-    page counts, so the speedups below are speedups on *provably
-    equivalent* executions.
+    :class:`~repro.core.batch.BatchQueryEngine` at each worker count,
+    with the :class:`~repro.core.batch.DeviceModel` turning accounted
+    page reads into real waits — the serving regime where thread-level
+    overlap pays.  Before the sweep each method's workload is executed
+    once with one worker and no device waits; every sweep point is then
+    asserted to return identical per-query answers and identical page
+    counts, so the speedups below are speedups on *provably equivalent*
+    executions.
 
     ``smoke=True`` shrinks everything (64² field, 24 queries, workers 1
     and 4, no JSON artifact) and exits non-zero if workers=4 fails to
@@ -376,22 +375,19 @@ def throughput(full: bool = False, queries: int | None = None,
     comparable across commits.  The *pipeline* sweep is the serving
     configuration — merged fetch groups, a shared
     :data:`~repro.core.batch.DEFAULT_BATCH_CACHE_PAGES`-page buffer
-    pool, and the vectorized hot path — whose oracle is one serial run
-    with ``engine="scalar"``: every pipelined point must match that
-    oracle byte for byte (per-query answers, per-query I/O, and total
-    I/O accounting), so the speedup it reports is a speedup on a
-    provably equivalent execution.
+    pool, and batched page-run fetches — whose oracle is one
+    single-worker run on the per-page fetch path (an empty
+    :class:`~repro.storage.faults.FaultInjector` attached): every
+    pipelined point must match that oracle byte for byte (per-query
+    answers, per-query I/O, and total I/O accounting), so the speedup
+    it reports is a speedup on a provably equivalent execution.
     """
     import json as json_mod
     import time
 
-    from ..core import (
-        BatchQueryEngine,
-        DeviceModel,
-        ParallelQueryEngine,
-    )
+    from ..core import BatchQueryEngine, DeviceModel
     from ..core.batch import DEFAULT_BATCH_CACHE_PAGES
-    from ..storage import IOStats
+    from ..storage import FaultInjector, IOStats
     from ..synth import value_query_workload
 
     if smoke:
@@ -414,7 +410,7 @@ def throughput(full: bool = False, queries: int | None = None,
     }
 
     lines = [
-        f"== throughput: parallel engine on Fig. 8a workload "
+        f"== throughput: batch engine workers on Fig. 8a workload "
         f"({size}x{size} terrain, mmap storage) ==",
         f"queries: {len(workload)} ({per_q} per Qinterval setting "
         f"{QINTERVALS_FIG8}), seed={seed}, estimate={estimate}",
@@ -431,8 +427,8 @@ def throughput(full: bool = False, queries: int | None = None,
         t0 = time.perf_counter()
         index = factory(field)
         build_seconds = time.perf_counter() - t0
-        # Serial reference: same groups, no device waits — the answer
-        # and page-count oracle for every parallel run.
+        # One-worker reference: same groups, no device waits — the
+        # answer and page-count oracle for every sweep point.
         index.clear_caches()
         index.stats.reset()
         serial = BatchQueryEngine(index, cache_pages=0, merge=False).run(
@@ -449,9 +445,9 @@ def throughput(full: bool = False, queries: int | None = None,
         for n_workers in worker_counts:
             index.clear_caches()
             index.stats.reset()
-            engine = ParallelQueryEngine(index, workers=n_workers,
-                                         cache_pages=0, merge=False,
-                                         device=device)
+            engine = BatchQueryEngine(index, workers=n_workers,
+                                      cache_pages=0, merge=False,
+                                      device=device)
             t0 = time.perf_counter()
             par = engine.run(workload, estimate=estimate)
             wall = time.perf_counter() - t0
@@ -481,35 +477,36 @@ def throughput(full: bool = False, queries: int | None = None,
                 and qps_by_workers[worker_counts[-1]]
                 < qps_by_workers[worker_counts[0]]):
             regressions.append(name)
-        # Pipeline sweep: merged groups + shared pool + vectorized
-        # engine, checked byte-for-byte against a serial scalar oracle.
+        # Pipeline sweep: merged groups + shared pool + batched page
+        # runs, checked byte-for-byte against a one-worker run on the
+        # per-page fetch path (an attached injector forces it).
         cache = DEFAULT_BATCH_CACHE_PAGES
-        index.engine = "scalar"
+        index.inject_faults(FaultInjector())
         index.clear_caches()
         index.stats.reset()
         oracle = BatchQueryEngine(index, cache_pages=cache,
                                   merge=True).run(workload,
                                                   estimate=estimate)
-        index.engine = "vectorized"
+        index.inject_faults(None)
         entry["pipeline"] = {
             "cache_pages": cache,
             "merge": True,
-            "scalar_oracle_page_reads": oracle.io.page_reads,
+            "perpage_oracle_page_reads": oracle.io.page_reads,
             "points": [],
         }
         for n_workers in worker_counts:
             index.clear_caches()
             index.stats.reset()
-            engine = ParallelQueryEngine(index, workers=n_workers,
-                                         cache_pages=cache, merge=True,
-                                         device=device)
+            engine = BatchQueryEngine(index, workers=n_workers,
+                                      cache_pages=cache, merge=True,
+                                      device=device)
             t0 = time.perf_counter()
             par = engine.run(workload, estimate=estimate)
             wall = time.perf_counter() - t0
-            for r_scl, r_par in zip(oracle.results, par.results):
-                assert r_scl.candidate_count == r_par.candidate_count, name
-                assert r_scl.area == r_par.area, name
-                assert r_scl.io == r_par.io, name
+            for r_ora, r_par in zip(oracle.results, par.results):
+                assert r_ora.candidate_count == r_par.candidate_count, name
+                assert r_ora.area == r_par.area, name
+                assert r_ora.io == r_par.io, name
             assert oracle.io == par.io, name
             qps = len(workload) / wall
             vs_legacy = qps / qps_by_workers[n_workers]
@@ -535,11 +532,10 @@ def throughput(full: bool = False, queries: int | None = None,
     lines += [
         "",
         "(answers, per-query I/O and total page counts verified "
-        "identical to the serial batch engine at every worker count; "
-        "'+pipe' rows are the merged+cached+vectorized pipeline, "
-        "verified byte-identical to a serial scalar-engine oracle, "
-        "speedup column relative to the legacy row at the same worker "
-        "count)",
+        "identical to one worker at every worker count; '+pipe' rows "
+        "are the merged+cached+batched pipeline, verified "
+        "byte-identical to a one-worker per-page-fetch oracle, speedup "
+        "column relative to the legacy row at the same worker count)",
     ]
     if json_path:
         payload = {

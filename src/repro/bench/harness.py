@@ -18,7 +18,7 @@ from ..core.base import EstimateMode, ValueIndex
 from ..field.base import Field
 from ..obs.trace import Tracer
 # Simulated disk service times per 4 KiB page now live next to IOStats
-# (one authoritative definition shared with the parallel engine's
+# (one authoritative definition shared with the batch engine's
 # DeviceModel); re-exported here for backwards compatibility.
 from ..storage.stats import RANDOM_READ_MS, SEQUENTIAL_READ_MS
 from ..synth.queries import value_query_workload

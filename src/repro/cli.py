@@ -30,7 +30,7 @@ A small database-style front end over the library:
 ``query`` and ``batch`` accept ``--trace FILE`` (span tree as Chrome
 trace-event JSON, or JSONL with a ``.jsonl`` suffix),
 ``--metrics-out FILE`` (metrics-registry dump), and ``--workers N``
-(execute through the parallel query engine on N threads).
+(run the batch engine's merged query groups on N worker threads).
 
 Examples::
 
@@ -625,8 +625,8 @@ def main(argv: list[str] | None = None) -> int:
     query.add_argument("--max-regions", type=int, default=10,
                        help="polygons to print with --regions")
     query.add_argument("--workers", type=int, default=1,
-                       help="run through the parallel engine with N "
-                            "worker threads (default: 1, serial)")
+                       help="run through the batch engine with N "
+                            "worker threads (default: 1, a plain query)")
     _add_obs_flags(query)
     query.set_defaults(func=cmd_query)
 
@@ -671,7 +671,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="suppress per-query lines, print totals only")
     batch.add_argument("--workers", type=int, default=1,
                        help="execute merged groups on N worker threads "
-                            "(default: 1, the serial batch engine)")
+                            "(default: 1, inline in the calling thread)")
     _add_obs_flags(batch)
     batch.set_defaults(func=cmd_batch)
 

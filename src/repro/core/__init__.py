@@ -11,6 +11,7 @@ from .base import UPDATE_CRASH_POINTS, ValueIndex
 from .batch import (
     BatchQueryEngine,
     BatchResult,
+    DeviceModel,
     QueryGroup,
     merge_queries,
     run_sequential,
@@ -43,7 +44,6 @@ from .multiband import (
     union_query,
 )
 from .multifield import MultiFieldResult, conjunctive_query
-from .parallel import DeviceModel, ParallelQueryEngine, ParallelResult
 from .persist import PersistError, load_index, save_index
 from .planner import CostConstants, Plan, PlannedIndex
 from .statistics import FieldStatistics
@@ -95,8 +95,6 @@ __all__ = [
     "union_query",
     "CostConstants",
     "DeviceModel",
-    "ParallelQueryEngine",
-    "ParallelResult",
     "PersistError",
     "Plan",
     "PlannedIndex",

@@ -31,13 +31,6 @@ from .query import QueryResult, ValueQuery
 
 EstimateMode = Literal["none", "area", "regions"]
 FaultMode = Literal["raise", "skip"]
-#: Execution engine for the filtering step: ``"vectorized"`` (default)
-#: fetches candidate page runs as one batch and evaluates the interval
-#: filter as whole-array operations; ``"scalar"`` keeps the original
-#: page-at-a-time loops.  Both produce byte-identical answers and
-#: IOStats — the scalar engine is the escape hatch the equivalence
-#: tests cross-check against.
-Engine = Literal["vectorized", "scalar"]
 #: Either a named built-in backend or an explicit
 #: ``(plain disk class, retrying disk class)`` pair — the hook custom
 #: tiers (e.g. :func:`repro.storage.remote.remote_backend`) plug into.
@@ -80,6 +73,32 @@ _MAINT_WRITES = REGISTRY.counter(
 UPDATE_CRASH_POINTS = ("pre-wal", "wal-appended") + WAL_CRASH_POINTS
 
 
+def interval_mask(records: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Mask of the records whose ``[vmin, vmax]`` intersects ``[lo, hi]``.
+
+    Compared in float64: float32 records against a float64 bound would
+    otherwise round the bound to float32 (NEP 50), disagreeing with the
+    R*-tree's float64 arithmetic.
+    """
+    return ((records["vmin"].astype(np.float64) <= hi)
+            & (records["vmax"].astype(np.float64) >= lo))
+
+
+def require_finite_records(records: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first record with a NaN or ±inf
+    (a NaN interval bound drops its cell from every query)."""
+    for name in records.dtype.names or ():
+        column = records[name]
+        if column.dtype.kind != "f":
+            continue
+        bad = ~np.isfinite(column).reshape(len(records), -1).all(axis=1)
+        if bad.any():
+            row = int(np.flatnonzero(bad)[0])
+            raise ValueError(
+                f"records[{row}].{name} is not finite; updates must "
+                f"carry finite values")
+
+
 class ValueIndex(abc.ABC):
     """Base class for field-value access methods.
 
@@ -117,12 +136,7 @@ class ValueIndex(abc.ABC):
                  stats: IOStats | None = None,
                  page_size: int = PAGE_SIZE,
                  retry_policy: RetryPolicy | None = None,
-                 disk_backend: DiskBackend = "list",
-                 engine: Engine = "vectorized") -> None:
-        if engine not in ("vectorized", "scalar"):
-            raise ValueError(
-                f"engine must be 'vectorized' or 'scalar', got {engine!r}")
-        self.engine = engine
+                 disk_backend: DiskBackend = "list") -> None:
         self.field = field
         self.field_type = type(field)
         self.stats = stats if stats is not None else IOStats()
@@ -276,17 +290,16 @@ class ValueIndex(abc.ABC):
                 kind=type(exc).__name__, detail=str(exc)))
             return None
 
-    def _vector_fetch_ok(self) -> bool:
-        """True when the batched fetch path may be used for this query.
+    def _batched_fetch_ok(self) -> bool:
+        """True when a page run may be fetched as one batch.
 
-        Requires the vectorized engine and a clean fault regime: with a
-        fault injector attached the disk must observe every page access
-        individually (injection schedules are per-read), and in
-        ``on_fault="skip"`` mode faults must be attributable to single
-        pages — both are what the per-page scalar loop provides.
+        Requires a clean fault regime: with a fault injector attached
+        the disk must observe every page access individually
+        (injection schedules are per-read), and in ``on_fault="skip"``
+        mode faults must be attributable to single pages — both are
+        what the per-page path provides.
         """
-        return (self.engine == "vectorized"
-                and self._fault_mode == "raise"
+        return (self._fault_mode == "raise"
                 and self.data_disk.fault_injector is None)
 
     def _read_data_run(self, first_page: int,
@@ -300,7 +313,7 @@ class ValueIndex(abc.ABC):
         semantics are untouched.  Returns ``None`` when every page of
         the run was skipped.
         """
-        if self._vector_fetch_ok():
+        if self._batched_fetch_ok():
             return self.store.read_pages(first_page, last_page)
         parts = []
         for page_no in range(first_page, last_page + 1):
@@ -312,6 +325,36 @@ class ValueIndex(abc.ABC):
         if len(parts) == 1:
             return parts[0]
         return np.concatenate(parts)
+
+    def _filter_runs(self, runs, lo: float, hi: float) -> np.ndarray:
+        """Filter step over inclusive ``(first, last)`` store page runs.
+
+        Each run is fetched with :meth:`_read_data_run` and reduced to
+        the records whose interval intersects ``[lo, hi]``; the result
+        keeps store order.
+        """
+        chunks = []
+        for first, last in runs:
+            block = self._read_data_run(first, last)
+            if block is None:
+                continue
+            mask = interval_mask(block, lo, hi)
+            if mask.any():
+                chunks.append(block[mask])
+        if not chunks:
+            return np.empty(0, dtype=self.store.dtype)
+        if len(chunks) == 1:
+            return chunks[0]
+        return np.concatenate(chunks)
+
+    def _scan_filter(self, lo: float, hi: float) -> np.ndarray:
+        """Sequential-scan filter: every store page, front to back."""
+        with self.tracer.span("fetch") as span:
+            if span.enabled:
+                span.attrs["path"] = "scan"
+            pages = self.store.num_pages
+            return self._filter_runs([(0, pages - 1)] if pages else [],
+                                     lo, hi)
 
     def _finish(self, query: ValueQuery, candidates: np.ndarray,
                 estimate: EstimateMode) -> QueryResult:
@@ -339,6 +382,14 @@ class ValueIndex(abc.ABC):
         """Drop caches and forget disk positions (cold-query setting)."""
         self.store.pool.clear()
         self.data_disk.reset_head()
+
+    def pools(self) -> list:
+        """Every buffer pool a query reads through: the data file's and,
+        for tree-backed methods, the index file's."""
+        tree = getattr(self, "tree", None)
+        if tree is None:
+            return [self.store.pool]
+        return [self.store.pool, tree.pool]
 
     # -- live updates -------------------------------------------------------
 
@@ -401,6 +452,16 @@ class ValueIndex(abc.ABC):
             raise ValueError(
                 "index carries no in-memory field (reloaded from disk); "
                 "feed it records directly with update_cells()")
+        # Checked as the records will hold them, so a finite float64
+        # that overflows the record dtype is refused too.
+        with np.errstate(over="ignore"):
+            stored = np.asarray(values, dtype=np.float64).ravel().astype(
+                self.store.dtype["vmin"])
+        bad = np.flatnonzero(~np.isfinite(stored))
+        if len(bad):
+            raise ValueError(
+                f"values[{bad[0]}] is not a finite "
+                f"{stored.dtype} sample; updates must carry finite values")
         dirty = self.field.apply_updates(vertex_ids, values)
         if len(dirty):
             self.update_cells(dirty, self.field.cell_records()[dirty],
@@ -431,12 +492,13 @@ class ValueIndex(abc.ABC):
                 f"{len(cell_ids)} cell ids vs {len(records)} records")
         if len(cell_ids) == 0:
             return
-        # Validate before logging: a bad id must fail fast, not poison
-        # the WAL and fail again on every replay.
+        # Validate before logging: a bad id or value must fail fast,
+        # not poison the WAL and fail again on every replay.
         if cell_ids.min() < 0 or cell_ids.max() >= len(self.store):
             raise IndexError(
                 f"cell ids must lie in [0, {len(self.store)}); got "
                 f"[{cell_ids.min()}, {cell_ids.max()}]")
+        require_finite_records(records)
         if crash_point == "pre-wal":
             raise SimulatedCrash("pre-wal")
         if self.wal is not None:

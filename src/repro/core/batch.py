@@ -21,6 +21,35 @@ method uses — and per-query :class:`~repro.storage.stats.IOStats` charge
 each page to the query that actually read it, so a batch's total I/O
 counts shared pages once, not once per query.
 
+With ``workers > 1`` the same engine runs the merged groups on worker
+threads.  The point is *latency hiding*, not CPU parallelism: on the
+simulated device a cold query spends almost all of its wall time
+waiting for page reads (8.5 ms per random read, see
+:data:`~repro.storage.stats.RANDOM_READ_MS`), and those waits overlap
+across threads.  The optional :class:`DeviceModel` turns the accounted
+I/O of each group fetch into a real ``time.sleep`` *outside* the
+serialized section; ``python -m repro.bench throughput`` measures the
+effect.  Three mechanisms keep every output identical to one worker:
+
+* **Ticketed fetches.**  :class:`_FetchTickets` serializes group
+  fetches in global group order, so the shared buffer pools, the shared
+  :class:`~repro.storage.stats.IOStats` and any fault injector evolve in
+  exactly the one-worker order.  Only device waits and the pure-CPU
+  estimation step run concurrently.
+* **Static group ownership.**  Worker ``w`` owns groups ``g ≡ w (mod
+  workers)``, so per-worker I/O totals are a pure function of the
+  workload, not of scheduling.
+* **Shared-state discipline.**  The index's ``_fault_mode`` /
+  ``_query_faults`` / ``tracer`` attributes are only touched while a
+  ticket is held; :meth:`~repro.core.base.ValueIndex._finish` is pure
+  CPU.
+
+One worker runs inline in the caller's thread, without a thread or a
+ticket.  Its span tree is ``batch → merge, group[i]``; with several
+workers each records its own tree and the trees are grafted as
+``batch → merge, worker[w] → group[g]``, so EXPLAIN ANALYZE shows
+per-worker timing.
+
 :func:`run_sequential` executes the same workload one query at a time
 (optionally cold, the paper's setting) and reports the same
 :class:`BatchResult` shape, so batched and sequential execution can be
@@ -30,14 +59,16 @@ compared directly; ``benchmarks/test_bench_batch.py`` and the
 
 from __future__ import annotations
 
+import threading
+import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
 from ..obs.metrics import REGISTRY
+from ..obs.trace import NULL_TRACER, Tracer
 from ..storage import IOStats, PoolCounters
-from .base import EstimateMode, FaultMode, ValueIndex
+from ..storage.stats import RANDOM_READ_MS, SEQUENTIAL_READ_MS
+from .base import EstimateMode, FaultMode, ValueIndex, interval_mask
 from .query import QueryResult, ValueQuery
 
 #: Default shared-cache capacity for a batch: 1024 pages = 4 MiB of the
@@ -53,6 +84,9 @@ _BATCH_QUERIES = REGISTRY.counter(
 _GROUP_SIZE = REGISTRY.histogram(
     "repro_batch_group_size",
     "Queries sharing one merged fetch group, per access method.")
+_BATCH_WORKERS = REGISTRY.histogram(
+    "repro_batch_workers",
+    "Worker count of each batch, per access method.")
 
 
 @dataclass(frozen=True)
@@ -98,6 +132,70 @@ def merge_queries(queries: Sequence[ValueQuery],
     return groups
 
 
+@dataclass(frozen=True)
+class DeviceModel:
+    """Turns accounted page reads into real wall-time waits.
+
+    The millisecond costs default to the benchmark harness's disk model
+    (:data:`~repro.storage.stats.RANDOM_READ_MS` /
+    :data:`~repro.storage.stats.SEQUENTIAL_READ_MS`); ``scale`` shrinks
+    or stretches the waits uniformly (useful for fast smoke runs).
+    Skipped pages were still transferred before their checksum failed,
+    so they cost a sequential read — the same convention the harness
+    uses.
+    """
+
+    random_read_ms: float = RANDOM_READ_MS
+    sequential_read_ms: float = SEQUENTIAL_READ_MS
+    scale: float = 1.0
+
+    def delay_s(self, io: IOStats) -> float:
+        """Simulated device time of ``io``, in seconds."""
+        ms = (io.random_reads * self.random_read_ms
+              + (io.sequential_reads + io.skipped_pages)
+              * self.sequential_read_ms)
+        return ms * self.scale / 1000.0
+
+
+class _Aborted(Exception):
+    """Internal: a sibling worker failed; unwind quietly."""
+
+
+class _FetchTickets:
+    """Serializes group fetches in global group order.
+
+    ``acquire(g)`` blocks until every fetch with a smaller ticket has
+    released; ``release(g)`` admits ticket ``g + 1``.  A fetch that
+    fails calls :meth:`abort` instead of releasing, which wakes every
+    waiter with :class:`_Aborted` — since fetches run strictly in ticket
+    order, the first recorded error is the error one worker would have
+    raised.
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._next = 0
+        self.error: BaseException | None = None
+
+    def acquire(self, ticket: int) -> None:
+        with self._cond:
+            while self._next != ticket and self.error is None:
+                self._cond.wait()
+            if self.error is not None:
+                raise _Aborted()
+
+    def release(self, ticket: int) -> None:
+        with self._cond:
+            self._next = ticket + 1
+            self._cond.notify_all()
+
+    def abort(self, exc: BaseException) -> None:
+        with self._cond:
+            if self.error is None:
+                self.error = exc
+            self._cond.notify_all()
+
+
 @dataclass
 class BatchResult:
     """Outcome of one batch of value queries against one access method."""
@@ -111,6 +209,13 @@ class BatchResult:
     pool: PoolCounters = dc_field(default_factory=PoolCounters)
     #: Number of merged fetch groups the batch executed.
     groups: int = 0
+    #: Number of workers the batch actually used.
+    workers: int = 0
+    #: Fetch I/O performed by each worker (index = worker id).  The sum
+    #: over workers equals :attr:`io` exactly.
+    worker_io: list[IOStats] = dc_field(default_factory=list)
+    #: Wall time each worker ran, in seconds.
+    worker_wall_s: list[float] = dc_field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.results)
@@ -135,6 +240,11 @@ class BatchQueryEngine:
         Any built :class:`~repro.core.base.ValueIndex`.  The engine never
         copies its data; it only drives the index's own filtering step
         and (temporarily) enlarges its buffer pools.
+    workers:
+        Worker count (>= 1).  One worker runs inline in the caller's
+        thread; more run the groups on that many threads (never more
+        than there are groups).  Answers and accounting do not depend
+        on it.
     cache_pages:
         Shared buffer-pool capacity lent to the index for the duration of
         a batch.  The index's own configured capacity is never reduced;
@@ -145,17 +255,27 @@ class BatchQueryEngine:
         Whether to merge overlapping query intervals into one filtering
         pass per connected run (default).  Disable to measure the effect
         of the shared cache alone.
+    device:
+        Optional :class:`DeviceModel`.  When given, every group fetch is
+        followed by a real sleep for its simulated device time, outside
+        the serialized section, so the waits overlap across workers.
+        ``None`` (default) skips the sleeps.
     """
 
-    def __init__(self, index: ValueIndex,
+    def __init__(self, index: ValueIndex, workers: int = 1,
                  cache_pages: int = DEFAULT_BATCH_CACHE_PAGES,
-                 merge: bool = True) -> None:
+                 merge: bool = True,
+                 device: DeviceModel | None = None) -> None:
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         if cache_pages < 0:
             raise ValueError(
                 f"cache_pages must be >= 0, got {cache_pages}")
         self.index = index
+        self.workers = workers
         self.cache_pages = cache_pages
         self.merge = merge
+        self.device = device
 
     def run(self, queries: Sequence[ValueQuery],
             estimate: EstimateMode = "area",
@@ -179,34 +299,40 @@ class BatchQueryEngine:
         queries = list(queries)
         if not queries:
             return BatchResult()
-        tracer = self.index.tracer
+        index = self.index
+        tracer = index.tracer
+        tree = getattr(index, "tree", None)
+        if tree is not None and tree._dirty:
+            # Flush once up front so no group fetch triggers the lazy
+            # flush inside a search.
+            tree.flush()
         with tracer.span("batch") as batch_span:
             with tracer.span("merge"):
                 groups = merge_queries(queries, merge=self.merge)
+            workers = min(self.workers, len(groups))
             if batch_span.enabled:
-                batch_span.attrs["method"] = self.index.name
-                batch_span.attrs["queries"] = len(queries)
-                batch_span.attrs["groups"] = len(groups)
-                batch_span.attrs["merge"] = self.merge
-            pools = self._pools()
+                batch_span.attrs.update(
+                    method=index.name, queries=len(queries),
+                    groups=len(groups), workers=workers, merge=self.merge)
+            pools = index.pools()
             saved_caps = [p.capacity for p in pools]
             before_pool = [p.counters() for p in pools]
-            before_batch = self.index.stats.snapshot()
+            before_batch = index.stats.snapshot()
             for pool in pools:
                 pool.resize(max(pool.capacity, self.cache_pages))
             results: list[QueryResult | None] = [None] * len(queries)
+            worker_io = [IOStats() for _ in range(workers)]
+            worker_wall = [0.0] * workers
             try:
-                if tracer.enabled:
-                    for gi, group in enumerate(groups):
-                        with tracer.span(f"group[{gi}]",
-                                         {"lo": group.lo, "hi": group.hi,
-                                          "size": group.size}):
-                            self._run_group(group, queries, results,
-                                            estimate, on_fault)
+                if workers == 1:
+                    t0 = time.perf_counter()
+                    self._drain(0, 1, groups, queries, results, estimate,
+                                on_fault, None, tracer, worker_io)
+                    worker_wall[0] = time.perf_counter() - t0
                 else:
-                    for group in groups:
-                        self._run_group(group, queries, results, estimate,
-                                        on_fault)
+                    self._run_threads(workers, groups, queries, results,
+                                      estimate, on_fault, worker_io,
+                                      worker_wall, batch_span)
                 pool_traffic = sum(
                     (p.counters().diff(b)
                      for p, b in zip(pools, before_pool)),
@@ -215,62 +341,151 @@ class BatchQueryEngine:
                 for pool, cap in zip(pools, saved_caps):
                     pool.resize(cap)
         if REGISTRY.enabled:
-            method = self.index.name
+            method = index.name
             _BATCHES.inc(1, method=method)
             _BATCH_QUERIES.inc(len(queries), method=method)
+            _BATCH_WORKERS.observe(workers, method=method)
             for group in groups:
                 _GROUP_SIZE.observe(group.size, method=method)
         return BatchResult(results=results,
-                           io=self.index.stats.diff(before_batch),
-                           pool=pool_traffic, groups=len(groups))
+                           io=index.stats.diff(before_batch),
+                           pool=pool_traffic, groups=len(groups),
+                           workers=workers, worker_io=worker_io,
+                           worker_wall_s=worker_wall)
 
     # -- internals ----------------------------------------------------------
 
-    def _run_group(self, group: QueryGroup, queries: list[ValueQuery],
-                   results: list[QueryResult | None],
-                   estimate: EstimateMode,
-                   on_fault: FaultMode = "raise") -> None:
-        """One filtering pass over the group's union interval."""
-        tracer = self.index.tracer
-        before = self.index.stats.snapshot()
-        self.index._fault_mode = on_fault
-        self.index._query_faults = []
+    def _run_threads(self, workers: int, groups: list[QueryGroup],
+                     queries: list[ValueQuery],
+                     results: list[QueryResult | None],
+                     estimate: EstimateMode, on_fault: FaultMode,
+                     worker_io: list[IOStats], worker_wall: list[float],
+                     batch_span) -> None:
+        """Drain the groups on ``workers`` threads under fetch tickets."""
+        index = self.index
+        tracer = index.tracer
+        tickets = _FetchTickets()
+        worker_tracers = [Tracer() if tracer.enabled else NULL_TRACER
+                          for _ in range(workers)]
+
+        def runner(w: int) -> None:
+            t0 = time.perf_counter()
+            wt = worker_tracers[w]
+            try:
+                # The OS thread id rides along as ``tid`` so the Chrome
+                # trace exporter puts each worker on its own lane.
+                with wt.span(f"worker[{w}]",
+                             {"worker": w,
+                              "tid": threading.get_native_id()}):
+                    self._drain(w, workers, groups, queries, results,
+                                estimate, on_fault, tickets, wt,
+                                worker_io)
+            except _Aborted:
+                pass
+            except BaseException as exc:
+                tickets.abort(exc)
+            finally:
+                worker_wall[w] = time.perf_counter() - t0
+
+        # Workers install their own tracer while holding a ticket; park
+        # the index on the null tracer meanwhile.
+        index.tracer = NULL_TRACER
         try:
-            candidates = self.index._candidates(group.lo, group.hi)
-            group_faults = self.index._query_faults
+            threads = [threading.Thread(target=runner, args=(w,),
+                                        name=f"repro-worker-{w}")
+                       for w in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
         finally:
-            self.index._fault_mode = "raise"
-            self.index._query_faults = []
-        fetch_io = self.index.stats.diff(before)
-        # Candidate records of a member query are exactly the union
-        # candidates intersecting its own interval: the same predicate
-        # every access method's filtering step applies, evaluated in
-        # float64 to match their arithmetic.
-        vmin = candidates["vmin"].astype(np.float64)
-        vmax = candidates["vmax"].astype(np.float64)
+            index.tracer = tracer
+        if tickets.error is not None:
+            raise tickets.error
+        if tracer.enabled:
+            for w, wt in enumerate(worker_tracers):
+                for root in wt.roots:
+                    root.io = worker_io[w]
+                    batch_span.children.append(root)
+
+    def _drain(self, w: int, workers: int, groups: list[QueryGroup],
+               queries: list[ValueQuery],
+               results: list[QueryResult | None],
+               estimate: EstimateMode, on_fault: FaultMode,
+               tickets: _FetchTickets | None, tracer,
+               worker_io: list[IOStats]) -> None:
+        """Run the groups worker ``w`` statically owns, in order."""
+        for gi in range(w, len(groups), workers):
+            group = groups[gi]
+            if tracer.enabled:
+                with tracer.span(f"group[{gi}]",
+                                 {"lo": group.lo, "hi": group.hi,
+                                  "size": group.size}) as gspan:
+                    fetch_io = self._run_group(gi, group, queries,
+                                               results, estimate,
+                                               on_fault, tickets, tracer)
+                    gspan.io = fetch_io
+            else:
+                fetch_io = self._run_group(gi, group, queries, results,
+                                           estimate, on_fault, tickets,
+                                           tracer)
+            worker_io[w] += fetch_io
+
+    def _run_group(self, gi: int, group: QueryGroup,
+                   queries: list[ValueQuery],
+                   results: list[QueryResult | None],
+                   estimate: EstimateMode, on_fault: FaultMode,
+                   tickets: _FetchTickets | None, tracer) -> IOStats:
+        """One filtering pass over the group's union interval, then the
+        per-member estimation; returns the group's fetch I/O.
+
+        With ``tickets`` the fetch runs under group ``gi``'s ticket and
+        with the worker's tracer installed on the index.  A failure
+        inside it never admits the next ticket: the exception reaches
+        the worker runner, which aborts every waiter.
+        """
+        index = self.index
+        if tickets is not None:
+            tickets.acquire(gi)
+            index.tracer = tracer
+        before = index.stats.snapshot()
+        index._fault_mode = on_fault
+        index._query_faults = []
+        try:
+            candidates = index._candidates(group.lo, group.hi)
+            group_faults = index._query_faults
+        finally:
+            index._fault_mode = "raise"
+            index._query_faults = []
+            if tickets is not None:
+                index.tracer = NULL_TRACER
+        fetch_io = index.stats.diff(before)
+        if tickets is not None:
+            tickets.release(gi)
+        # Everything below runs concurrently across workers: the
+        # simulated device wait and the pure-CPU estimation step.
+        if self.device is not None:
+            delay = self.device.delay_s(fetch_io)
+            if delay > 0.0:
+                time.sleep(delay)
         for ordinal, i in enumerate(group.members):
             q = queries[i]
-            mine = candidates[(vmin <= q.hi) & (vmax >= q.lo)]
+            # A member's candidates are the group candidates that
+            # intersect its own interval: the filter's own predicate.
+            mine = candidates[interval_mask(candidates, q.lo, q.hi)]
             if tracer.enabled:
                 with tracer.span("estimate", {"mode": estimate,
                                               "query": i}):
-                    result = self.index._finish(q, mine, estimate)
+                    result = index._finish(q, mine, estimate)
             else:
-                result = self.index._finish(q, mine, estimate)
+                result = index._finish(q, mine, estimate)
             result.io = fetch_io if ordinal == 0 else IOStats()
             if ordinal == 0:
                 # Faults belong to the member that performed the fetch,
                 # mirroring the I/O attribution above.
                 result.faults = group_faults
             results[i] = result
-
-    def _pools(self):
-        """Every buffer pool the index reads through (data + index file)."""
-        pools = [self.index.store.pool]
-        tree = getattr(self.index, "tree", None)
-        if tree is not None:
-            pools.append(tree.pool)
-        return pools
+        return fetch_io
 
 
 def run_sequential(index: ValueIndex, queries: Sequence[ValueQuery],
@@ -282,10 +497,7 @@ def run_sequential(index: ValueIndex, queries: Sequence[ValueQuery],
     protocol and the natural contrast to :meth:`BatchQueryEngine.run`.
     """
     queries = list(queries)
-    pools = [index.store.pool]
-    tree = getattr(index, "tree", None)
-    if tree is not None:
-        pools.append(tree.pool)
+    pools = index.pools()
     before_pool = [p.counters() for p in pools]
     before = index.stats.snapshot()
     results = []

@@ -7,11 +7,10 @@ engine selection and buffer-pool bookkeeping on its own.
 :class:`EngineFacade` centralizes that: it keeps a registry of named
 fields (each a built :class:`~repro.core.base.ValueIndex`), serializes
 engine access per field (the engines mutate index state and are not
-reentrant), brackets every call with buffer-pool tenant attribution, and
-picks the serial :class:`~repro.core.batch.BatchQueryEngine` or the
-:class:`~repro.core.parallel.ParallelQueryEngine` per the handle's
-worker budget.  Later sharding/serving PRs grow behind this API instead
-of re-plumbing CLI internals.
+reentrant), brackets every call with buffer-pool tenant attribution,
+and runs batches through :class:`~repro.core.batch.BatchQueryEngine`
+with the handle's worker budget.  Later sharding/serving PRs grow
+behind this API instead of re-plumbing CLI internals.
 
 A field can be opened from four kinds of source:
 
@@ -40,16 +39,31 @@ import numpy as np
 
 from ..field.base import Field
 from ..obs.trace import Tracer
-from ..storage import IOStats
+from ..storage import IOStats, PoolCounters
 from .base import EstimateMode, FaultMode, ValueIndex
 from .batch import BatchQueryEngine, BatchResult, DEFAULT_BATCH_CACHE_PAGES
-from .parallel import ParallelQueryEngine
 from .persist import load_index, save_index
 from .query import QueryResult, ValueQuery
 
 
 class FacadeError(Exception):
     """Base class for facade-level failures (not engine/storage faults)."""
+
+
+def _field_from_file(path: Path) -> Field:
+    """Load a field file: ``.npy`` DEM heights or a ``.npz`` TIN."""
+    if path.suffix == ".npy":
+        from ..field.dem import DEMField
+        return DEMField(np.load(path))
+    from ..field.tin import TINField
+    data = np.load(path)
+    for key in ("points", "values"):
+        if key not in data:
+            raise FacadeError(
+                f"{path}: TIN archives need 'points' and 'values' "
+                f"arrays (optional 'triangles')")
+    triangles = data["triangles"] if "triangles" in data else None
+    return TINField(data["points"], data["values"], triangles=triangles)
 
 
 class UnknownFieldError(FacadeError):
@@ -88,11 +102,7 @@ class FieldHandle:
 
     def pools(self) -> list:
         """Every buffer pool requests on this field read through."""
-        pools = [self.index.store.pool]
-        tree = getattr(self.index, "tree", None)
-        if tree is not None:
-            pools.append(tree.pool)
-        return pools
+        return self.index.pools()
 
 
 class EngineFacade:
@@ -102,7 +112,7 @@ class EngineFacade:
     ----------
     default_workers:
         Worker-thread budget a field opens with when ``open_field`` does
-        not override it (1 = serial engine).
+        not override it (1 = run batches inline).
     default_cache_pages:
         Shared buffer-pool capacity lent to an engine per batch, as in
         :class:`~repro.core.batch.BatchQueryEngine`.
@@ -164,21 +174,8 @@ class EngineFacade:
         path = Path(source)
         if path.is_dir():
             return load_index(path), str(path)
-        if path.suffix == ".npy":
-            from ..field.dem import DEMField
-            return self.index_factory(DEMField(np.load(path))), str(path)
-        if path.suffix == ".npz":
-            from ..field.tin import TINField
-            data = np.load(path)
-            for key in ("points", "values"):
-                if key not in data:
-                    raise FacadeError(
-                        f"{path}: TIN archives need 'points' and "
-                        f"'values' arrays (optional 'triangles')")
-            triangles = data["triangles"] if "triangles" in data else None
-            field = TINField(data["points"], data["values"],
-                             triangles=triangles)
-            return self.index_factory(field), str(path)
+        if path.suffix in (".npy", ".npz"):
+            return self.index_factory(_field_from_file(path)), str(path)
         raise FacadeError(
             f"{path}: unsupported field source (expected an index "
             f"directory, .npy heights, or a .npz TIN)")
@@ -192,9 +189,9 @@ class EngineFacade:
         ``source`` must be an in-memory :class:`~repro.field.base.Field`
         or a field file (``.npy`` heights / ``.npz`` TIN) — saved index
         directories are already built.  Extra keyword arguments pass to
-        the index constructor (``curve``, ``engine``, ...).  Returns the
-        field description extended with the bulk-load timing report
-        under ``"bulk"`` (see :class:`~repro.core.bulkload
+        the index constructor (``curve``, ``disk_backend``, ...).
+        Returns the field description extended with the bulk-load
+        timing report under ``"bulk"`` (see :class:`~repro.core.bulkload
         .BulkLoadReport`).
         """
         from .bulkload import bulk_build
@@ -202,26 +199,11 @@ class EngineFacade:
             field, origin = source, "field-object"
         else:
             path = Path(source)
-            if path.suffix == ".npy":
-                from ..field.dem import DEMField
-                field, origin = DEMField(np.load(path)), str(path)
-            elif path.suffix == ".npz":
-                from ..field.tin import TINField
-                data = np.load(path)
-                for key in ("points", "values"):
-                    if key not in data:
-                        raise FacadeError(
-                            f"{path}: TIN archives need 'points' and "
-                            f"'values' arrays (optional 'triangles')")
-                triangles = (data["triangles"] if "triangles" in data
-                             else None)
-                field = TINField(data["points"], data["values"],
-                                 triangles=triangles)
-                origin = str(path)
-            else:
+            if path.suffix not in (".npy", ".npz"):
                 raise FacadeError(
                     f"{path}: bulk_build needs a field source "
                     f"(.npy heights or .npz TIN), not a built index")
+            field, origin = _field_from_file(path), str(path)
         index, report = bulk_build(field, method=method, **build_kwargs)
         info = self.open_field(name, index, workers=workers,
                                cache_pages=cache_pages)
@@ -318,15 +300,10 @@ class EngineFacade:
                        else cache_pages)
         with handle.lock, self._tenancy(handle, tenant), \
                 self._traced(handle, tracer):
-            if workers > 1:
-                engine = ParallelQueryEngine(
-                    handle.index, workers=workers,
-                    cache_pages=cache_pages, merge=merge)
-            else:
-                engine = BatchQueryEngine(
-                    handle.index, cache_pages=cache_pages, merge=merge)
-            result = engine.run(parsed, estimate=estimate,
-                                on_fault=on_fault)
+            result = BatchQueryEngine(
+                handle.index, workers=workers, cache_pages=cache_pages,
+                merge=merge).run(parsed, estimate=estimate,
+                                 on_fault=on_fault)
             handle.queries += len(parsed)
         return result
 
@@ -387,10 +364,7 @@ class EngineFacade:
         index = handle.index
         io: IOStats = index.stats
         data_pool = index.store.pool
-        pool = data_pool.counters()
-        tree = getattr(index, "tree", None)
-        if tree is not None:
-            pool = pool + tree.pool.counters()
+        pool = sum((p.counters() for p in index.pools()), PoolCounters())
         return {
             "field": name,
             "method": index.name,
@@ -487,6 +461,6 @@ class EngineFacade:
         """Bracket an engine call with a caller-supplied tracer (no-op
         when ``tracer`` is None).  Callers hold the handle lock, so the
         index's tracer slot cannot be clobbered mid-request; the
-        parallel engine parks/restores ``index.tracer`` itself inside
-        this bracket, which composes (its restore happens first)."""
+        batch engine's workers park/restore ``index.tracer`` inside this
+        bracket, which composes (their restore happens first)."""
         return self._Traced(handle.index, tracer)

@@ -15,7 +15,7 @@ from ..geometry import Rect
 from ..obs.metrics import REGISTRY
 from ..rstar import RStarTree
 from ..storage import IOStats, PAGE_SIZE, RetryPolicy
-from .base import DiskBackend, Engine, ValueIndex
+from .base import DiskBackend, ValueIndex
 from .cost import CostBasedGrouping, GroupingPolicy, group_cells
 from .subfield import Subfield
 
@@ -58,11 +58,10 @@ class GroupedIntervalIndex(ValueIndex):
                  retry_policy: RetryPolicy | None = None,
                  disk_backend: DiskBackend = "list",
                  grouping: GroupingPolicy | None = None,
-                 engine: Engine = "vectorized",
                  bulk: bool = False) -> None:
         super().__init__(field, cache_pages=cache_pages, stats=stats,
                          page_size=page_size, retry_policy=retry_policy,
-                         disk_backend=disk_backend, engine=engine)
+                         disk_backend=disk_backend)
         order = np.asarray(order, dtype=np.int64)
         records = field.cell_records()
         if len(order) != len(records):
@@ -424,36 +423,9 @@ class GroupedIntervalIndex(ValueIndex):
             else:
                 runs.append([first, last])
         with tracer.span("fetch") as span:
-            chunks = []
-            if self.engine == "vectorized":
-                # One batched fetch + one array-wide interval mask per
-                # coalesced run — identical reads and output order to
-                # the per-page loop below.
-                for first, last in runs:
-                    block = self._read_data_run(first, last)
-                    if block is None:
-                        continue
-                    mask = ((block["vmin"].astype(np.float64) <= hi)
-                            & (block["vmax"].astype(np.float64) >= lo))
-                    if mask.any():
-                        chunks.append(block[mask])
-            else:
-                for first, last in runs:
-                    for page_no in range(first, last + 1):
-                        block = self._read_data_page(page_no)
-                        if block is None:
-                            continue
-                        mask = ((block["vmin"].astype(np.float64) <= hi)
-                                & (block["vmax"].astype(np.float64) >= lo))
-                        if mask.any():
-                            chunks.append(block[mask])
             if span.enabled:
                 span.attrs["runs"] = len(runs)
-        if not chunks:
-            return np.empty(0, dtype=self.store.dtype)
-        if len(chunks) == 1:
-            return chunks[0]
-        return np.concatenate(chunks)
+            return self._filter_runs(runs, lo, hi)
 
     # -- helpers ---------------------------------------------------------------
 

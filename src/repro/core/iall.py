@@ -15,7 +15,7 @@ from ..field.base import Field
 from ..geometry import Rect
 from ..rstar import RStarTree
 from ..storage import IOStats, PAGE_SIZE, RetryPolicy
-from .base import DiskBackend, Engine, ValueIndex
+from .base import DiskBackend, ValueIndex
 
 
 class IAllIndex(ValueIndex):
@@ -39,11 +39,10 @@ class IAllIndex(ValueIndex):
                  cache_pages: int = 0, stats: IOStats | None = None,
                  page_size: int = PAGE_SIZE,
                  retry_policy: RetryPolicy | None = None,
-                 disk_backend: DiskBackend = "list",
-                 engine: Engine = "vectorized") -> None:
+                 disk_backend: DiskBackend = "list") -> None:
         super().__init__(field, cache_pages=cache_pages, stats=stats,
                          page_size=page_size, retry_policy=retry_policy,
-                         disk_backend=disk_backend, engine=engine)
+                         disk_backend=disk_backend)
         records = field.cell_records()
         if bulk:
             self.store.bulk_extend(records)
@@ -115,7 +114,7 @@ class IAllIndex(ValueIndex):
         pages = rids_arr // per_page
         slots = rids_arr - pages * per_page
         with tracer.span("fetch"):
-            if self._vector_fetch_ok():
+            if self._batched_fetch_ok():
                 # One batched fetch of the (deduplicated, ascending)
                 # page set, then a single gather in rid order — the
                 # same reads and output as the page-group loop below.

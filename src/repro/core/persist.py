@@ -309,7 +309,6 @@ def load_index(directory: str | Path, cache_pages: int = 0,
         index._built_costs = [float(c) for c in built_costs]
     index.retry_policy = None
     index.disk_backend = "list"
-    index.engine = "vectorized"
     index._fault_mode = "raise"
     index._query_faults = []
     from ..obs.trace import NULL_TRACER

@@ -24,7 +24,7 @@ import numpy as np
 from ..field.base import Field
 from ..obs.metrics import REGISTRY
 from ..storage import IOStats, PAGE_SIZE, RetryPolicy
-from .base import DiskBackend, Engine
+from .base import DiskBackend
 from .cost import GroupingPolicy
 from .ihilbert import IHilbertIndex
 from ..curves import SpaceFillingCurve
@@ -96,27 +96,6 @@ def estimate_plan(index, lo: float, hi: float,
                 scan_cost=scan_cost, est_pages=pages, est_runs=runs)
 
 
-def scan_candidates(index, lo: float, hi: float) -> np.ndarray:
-    """Sequential-scan filtering over any index's record store."""
-    if index.store.num_pages and getattr(index, "_vector_fetch_ok",
-                                         lambda: False)():
-        block = index.store.read_pages(0, index.store.num_pages - 1)
-        mask = ((block["vmin"].astype(np.float64) <= hi)
-                & (block["vmax"].astype(np.float64) >= lo))
-        return block[mask]
-    matches = []
-    for page in index.store.scan():
-        mask = ((page["vmin"].astype(np.float64) <= hi)
-                & (page["vmax"].astype(np.float64) >= lo))
-        if mask.any():
-            matches.append(page[mask])
-    if not matches:
-        return np.empty(0, dtype=index.store.dtype)
-    if len(matches) == 1:
-        return matches[0]
-    return np.concatenate(matches)
-
-
 class PlannedIndex(IHilbertIndex):
     """I-Hilbert with per-query scan-vs-index plan selection.
 
@@ -133,13 +112,11 @@ class PlannedIndex(IHilbertIndex):
                  page_size: int = PAGE_SIZE,
                  retry_policy: RetryPolicy | None = None,
                  disk_backend: DiskBackend = "list",
-                 engine: Engine = "vectorized",
                  bulk: bool = False) -> None:
         super().__init__(field, curve=curve, grouping=grouping,
                          cache_pages=cache_pages, stats=stats,
                          page_size=page_size, retry_policy=retry_policy,
-                         disk_backend=disk_backend, engine=engine,
-                         bulk=bulk)
+                         disk_backend=disk_backend, bulk=bulk)
         self.costs = costs if costs is not None else CostConstants()
         self.last_plan: Plan | None = None
 
@@ -163,8 +140,5 @@ class PlannedIndex(IHilbertIndex):
                     est_pages=self.last_plan.est_pages,
                     est_runs=self.last_plan.est_runs)
         if self.last_plan.path == "scan":
-            with self.tracer.span("fetch") as sp:
-                if sp.enabled:
-                    sp.attrs["path"] = "scan"
-                return scan_candidates(self, lo, hi)
+            return self._scan_filter(lo, hi)
         return super()._candidates(lo, hi)

@@ -21,9 +21,14 @@ class ValueQuery:
     hi: float
 
     def __post_init__(self) -> None:
-        if self.lo > self.hi:
+        # Written so a NaN bound fails too: every comparison with NaN
+        # is false.
+        if not self.lo <= self.hi:
             raise ValueError(
-                f"empty query interval: lo={self.lo} > hi={self.hi}")
+                f"empty query interval: lo={self.lo} > hi={self.hi}"
+                if self.lo > self.hi else
+                f"query bounds must be numbers: lo={self.lo}, "
+                f"hi={self.hi}")
 
     @classmethod
     def exact(cls, value: float) -> "ValueQuery":

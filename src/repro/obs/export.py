@@ -6,7 +6,7 @@ Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``; each event
 carries the span's I/O deltas in ``args``, with ``page_reads_self``
 holding the *exclusive* delta, so summing it over every event
 reconstructs the run's total page reads exactly.  Spans carrying a
-``tid`` attribute (the parallel engine's ``worker[w]`` spans, which
+``tid`` attribute (the batch engine's ``worker[w]`` spans, which
 record their OS thread id) land on their own lane, with a
 ``thread_name`` metadata event naming it — so Perfetto shows one lane
 per worker instead of one flat lane.
@@ -165,9 +165,10 @@ def spans_to_chrome_trace(spans, process_name: str = "repro") -> dict:
     Events are complete (``"ph": "X"``) with microsecond ``ts``/``dur``
     relative to the earliest span.  Every span inherits its lane
     (``tid``) from the nearest ancestor carrying a ``tid`` attribute —
-    the parallel engine's ``worker[w]`` spans record their OS thread id
-    there — and falls back to lane 1, so serial traces render exactly
-    as before while parallel traces fan out into one lane per worker.
+    the batch engine's ``worker[w]`` spans record their OS thread id
+    there — and falls back to lane 1, so one-worker traces render
+    exactly as before while multi-worker traces fan out into one lane
+    per worker.
     Each distinct lane gets a ``thread_name`` metadata event (the
     naming span's name), and per-span counter deltas ride in ``args``.
     """

@@ -32,7 +32,7 @@ class Metric:
     Every mutation and every snapshot-style reader takes the metric's
     own lock: the read-modify-write in :meth:`Counter.inc` (and the
     row mutation in :meth:`Histogram.observe`) would otherwise lose
-    updates under concurrent publishers such as the parallel query
+    updates under concurrent publishers such as the batch query
     engine's workers.
     """
 

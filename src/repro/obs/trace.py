@@ -166,11 +166,7 @@ class Tracer:
         index records spans.  Returns ``self`` for chaining.
         """
         self.stats = index.stats
-        pools = [index.store.pool]
-        tree = getattr(index, "tree", None)
-        if tree is not None:
-            pools.append(tree.pool)
-        self.pools = tuple(pools)
+        self.pools = tuple(index.pools())
         index.tracer = self
         return self
 

@@ -173,7 +173,7 @@ class FieldClient:
                             lo=lo, hi=hi, **params)
 
     def batch(self, field: str, queries, **params) -> dict:
-        """Many value queries through the batch/parallel engine."""
+        """Many value queries through the batch engine."""
         return self.request("batch", field=field,
                             queries=[list(q) for q in queries], **params)
 

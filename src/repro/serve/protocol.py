@@ -32,7 +32,7 @@ The verbs:
 ``open``    open a catalogued field (idempotent per name)
 ``close``   close an open field
 ``query``   one value query (Q2) → candidates/area/io
-``batch``   many value queries through the batch/parallel engine
+``batch``   many value queries through the batch engine
 ``aggregate`` approximate COUNT/SUM/AVG/area with an error bound
 ``update``  apply vertex-value updates
 ``stats``   per-field + per-tenant serving statistics
@@ -43,6 +43,7 @@ The verbs:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 
 #: Hard bound on one frame's encoded size; larger frames are rejected
@@ -220,11 +221,22 @@ def need(params: dict, key: str, types, what: str):
     return value
 
 
+def finite_float(value) -> float | None:
+    """``value`` as a finite float; ``None`` for anything else (bools,
+    non-numbers, NaN, ±Infinity, integers past the float range)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def need_number(params: dict, key: str) -> float:
     """Fetch a required finite number parameter."""
-    value = need(params, key, (int, float), "a number")
-    value = float(value)
-    if value != value or value in (float("inf"), float("-inf")):
+    value = finite_float(need(params, key, (int, float), "a number"))
+    if value is None:
         raise ProtocolError("bad-request",
                             f"parameter {key!r} must be finite")
     return value

@@ -79,7 +79,7 @@ from .admission import AdmissionController
 from .protocol import (MAX_BATCH_QUERIES, MAX_FRAME_BYTES,
                        MAX_UPDATE_VERTICES, ProtocolError, Request,
                        decode_request, encode_error, encode_response,
-                       need, need_number, optional_choice)
+                       finite_float, need, need_number, optional_choice)
 
 _REQUESTS = REGISTRY.counter(
     "repro_serve_requests_total",
@@ -859,19 +859,14 @@ class FieldServer:
                 f"{MAX_BATCH_QUERIES}-query limit")
         pairs = []
         for i, entry in enumerate(raw):
-            if isinstance(entry, (int, float)) \
-                    and not isinstance(entry, bool):
-                pairs.append((float(entry), float(entry)))
-                continue
-            if (not isinstance(entry, list) or len(entry) != 2
-                    or not all(isinstance(v, (int, float))
-                               and not isinstance(v, bool)
-                               for v in entry)):
+            bounds = [finite_float(v) for v in (
+                entry if isinstance(entry, list) else [entry, entry])]
+            if len(bounds) != 2 or None in bounds:
                 raise ProtocolError(
                     "bad-request",
-                    f"queries[{i}] must be a [lo, hi] pair of numbers "
-                    f"or a single exact value")
-            lo, hi = float(entry[0]), float(entry[1])
+                    f"queries[{i}] must be a [lo, hi] pair of finite "
+                    f"numbers or a single finite exact value")
+            lo, hi = bounds
             if lo > hi:
                 raise ProtocolError(
                     "bad-request",
@@ -927,10 +922,9 @@ class FieldServer:
                     "bad-request",
                     f"vertex_ids[{i}] must be an integer")
         for i, value in enumerate(values):
-            if not isinstance(value, (int, float)) \
-                    or isinstance(value, bool):
+            if finite_float(value) is None:
                 raise ProtocolError(
-                    "bad-request", f"values[{i}] must be a number")
+                    "bad-request", f"values[{i}] must be a finite number")
 
         def fn():
             return self.facade.update(name, vertex_ids, values,

@@ -42,7 +42,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core.base import FaultMode, PAGE_SIZE, ValueIndex
+from ..core.base import (FaultMode, PAGE_SIZE, ValueIndex,
+                         require_finite_records)
 from ..core.cost import CostBasedGrouping, group_cells
 from ..core.facade import EngineFacade
 from ..core.grouped import GroupedIntervalIndex
@@ -247,11 +248,7 @@ class ShardRuntime:
 
     def pools(self) -> list:
         """This shard's buffer pools (data store + R*-tree, if any)."""
-        pools = [self.index.store.pool]
-        tree = getattr(self.index, "tree", None)
-        if tree is not None:
-            pools.append(tree.pool)
-        return pools
+        return self.index.pools()
 
     def stats(self) -> dict:
         """The facade's serving statistics for this shard."""
@@ -626,6 +623,8 @@ class ShardedEngine(ValueIndex):
             raise IndexError(
                 f"cell ids must lie in [0, {n}); got "
                 f"[{cell_ids.min()}, {cell_ids.max()}]")
+        # Refused before routing, so no shard applies a partial batch.
+        require_finite_records(records)
         positions = self._inverse[cell_ids]
         owners = self.shard_map.assign_positions(positions)
         for shard_id in np.unique(owners):

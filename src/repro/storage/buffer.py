@@ -120,7 +120,7 @@ class BufferPool:
         self._current_tenant: str | None = None
         # One coarse lock covers the frame map, the pool counters, and
         # the backing disk's IOStats accounting on the miss path, so
-        # concurrent readers (the parallel query engine's workers, or
+        # concurrent readers (the batch query engine's workers, or
         # any future caller) can never lose counter increments or
         # corrupt the LRU order.  Uncontended cost is one C-level
         # acquire/release per access.

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 #: Simulated disk service times per 4 KiB page, calibrated to the paper's
 #: era (c. 2001 commodity disk: ~8.5 ms average seek + rotational delay
 #: for a random page, ~0.2 ms streaming transfer for a sequential page).
-#: The bench harness and the parallel engine's device model both derive
+#: The bench harness and the batch engine's device model both derive
 #: their timing from these constants, so "simulated disk time" means the
 #: same thing everywhere.
 RANDOM_READ_MS = 8.5

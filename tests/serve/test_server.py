@@ -188,6 +188,11 @@ def test_update_changes_answers_over_the_wire(client):
           lo=0.0, hi=1.0, mode="psychic"), "bad-request"),
     (dict(op="aggregate", field="nope", kind="count",
           lo=0.0, hi=1.0), "unknown-field"),
+    # JSON integers past the float range.
+    (dict(op="query", field="terrain", lo=0.0, hi=10**400),
+     "bad-request"),
+    (dict(op="batch", field="terrain", queries=[[0.0, 10**400]]),
+     "bad-request"),
 ])
 def test_invalid_requests_get_typed_errors(client, params, code):
     # Don't pop: the parametrize dicts are shared across fixture params.
@@ -203,6 +208,42 @@ def test_malformed_frame_answers_and_connection_survives(client):
                         "error": response["error"]}
     assert response["error"]["code"] == "bad-frame"
     assert client.ping()
+
+
+@pytest.mark.parametrize("frame,entry", [
+    ('"queries":[[NaN,1e9],[-1e9,1e9]]', "queries[0]"),
+    ('"queries":[[-1e9,1e9],[-Infinity,0]]', "queries[1]"),
+    ('"queries":[[-1e9,1e9],Infinity]', "queries[1]"),
+    ('"queries":[[-1e9,1e999]]', "queries[0]"),
+], ids=["nan-lo", "neg-inf-lo", "inf-exact", "overflow-hi"])
+def test_batch_with_non_finite_bounds_is_a_bad_request(client, frame,
+                                                       entry):
+    # json.loads accepts NaN and ±Infinity; the frames are sent raw.
+    response = json.loads(client.send_raw(
+        b'{"op":"batch","field":"terrain",' + frame.encode() + b"}\n"))
+    assert response["ok"] is False
+    assert response["error"]["code"] == "bad-request"
+    assert entry in response["error"]["message"]
+
+
+@pytest.mark.parametrize("values,entry", [
+    ("[NaN]", "values[0]"),
+    ("[1.0,Infinity]", "values[1]"),
+    ("[-Infinity,1.0]", "values[0]"),
+])
+def test_update_with_non_finite_values_changes_nothing(client, dem,
+                                                       values, entry):
+    vr = dem.value_range
+    vertex_ids = list(range(values.count(",") + 1))
+    response = json.loads(client.send_raw(
+        f'{{"op":"update","field":"terrain","vertex_ids":{vertex_ids},'
+        f'"values":{values}}}\n'.encode()))
+    assert response["ok"] is False
+    assert response["error"]["code"] == "bad-request"
+    assert entry in response["error"]["message"]
+    # The field is untouched: a full-range query still sees every cell.
+    answer = client.query("terrain", vr.lo, vr.hi)
+    assert answer["candidates"] == dem.num_cells
 
 
 def test_oversized_frame_closes_the_connection(server):

@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from repro.core import (BatchQueryEngine, IAllIndex, IHilbertIndex,
-                        LinearScanIndex, ParallelQueryEngine, ValueQuery)
+                        LinearScanIndex, ValueQuery)
 from repro.core.batch import run_sequential
 from repro.shard import ShardedEngine
 from repro.storage import CorruptPageError, PAGE_HEADER_SIZE
@@ -211,9 +211,17 @@ def test_batch_and_parallel_engines_match_sequential(field, workload):
            for r in run_sequential(base, workload).results]
     engine = ShardedEngine(field, n_shards=3, method="I-Hilbert",
                            cache_pages=0)
-    for cls in (BatchQueryEngine, ParallelQueryEngine):
-        res = cls(engine, cache_pages=8).run(workload)
+    runs = []
+    for workers in (1, 4):
+        engine.clear_caches()
+        engine.stats.reset()
+        res = BatchQueryEngine(engine, workers=workers,
+                               cache_pages=8).run(workload)
         assert [(r.candidate_count, r.area) for r in res.results] == ref
+        runs.append(([r.io for r in res.results], res.io, res.pool))
+    # Four workers reproduce one worker's per-query and batch I/O and
+    # pool counters exactly.
+    assert runs[0] == runs[1]
 
 
 def test_multiprocessing_workers_match_in_process(field, workload):

@@ -1,9 +1,9 @@
 """Thread-safety hammers for the shared mutable state.
 
-The parallel engine serializes *fetches*, but the buffer pool and the
-metrics registry are still shared objects that concurrent code paths may
-touch; their internal locks must keep every counter exact — these tests
-assert precise totals, not merely "no crash".
+The batch engine's workers serialize *fetches*, but the buffer pool and
+the metrics registry are still shared objects that concurrent code paths
+may touch; their internal locks must keep every counter exact — these
+tests assert precise totals, not merely "no crash".
 """
 
 import threading

@@ -94,6 +94,19 @@ def test_batch_accepts_value_query_objects(facade):
     assert len(batch.results) == 1
 
 
+def test_batch_and_update_refuse_nan(facade, smooth_dem):
+    vr = smooth_dem.value_range
+    full = facade.query("terrain", vr.lo, vr.hi)
+    with pytest.raises(ValueError):
+        facade.batch("terrain", [(float("nan"), vr.hi), (vr.lo, vr.hi)])
+    with pytest.raises(ValueError, match=r"values\[0\]"):
+        facade.update("terrain", [0, 1], [float("nan"), vr.lo])
+    again = facade.query("terrain", vr.lo, vr.hi)
+    assert again.candidate_count == full.candidate_count \
+        == smooth_dem.num_cells
+    assert again.area == full.area
+
+
 def test_update_rewrites_cells_and_changes_answers(smooth_dem):
     facade = EngineFacade()
     facade.open_field("terrain", IHilbertIndex(smooth_dem))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from repro.core import ParallelQueryEngine, ValueQuery
+from repro.core import BatchQueryEngine, ValueQuery
 from repro.core.ihilbert import IHilbertIndex
 from repro.obs.export import render_prometheus, spans_to_chrome_trace
 from repro.obs.metrics import MetricsRegistry
@@ -85,7 +85,7 @@ def _span(tracer, name, attrs=None):
 class TestChromeTraceLanes:
     def test_tid_attrs_fan_out_into_lanes(self):
         tracer = Tracer()
-        with _span(tracer, "parallel"):
+        with _span(tracer, "batch"):
             with _span(tracer, "worker[0]", {"worker": 0, "tid": 101}):
                 with _span(tracer, "group[0]"):
                     pass
@@ -94,7 +94,7 @@ class TestChromeTraceLanes:
         doc = spans_to_chrome_trace(tracer.roots)
         events = {e["name"]: e for e in doc["traceEvents"]
                   if e["ph"] == "X"}
-        assert events["parallel"]["tid"] == 1          # default lane
+        assert events["batch"]["tid"] == 1             # default lane
         assert events["worker[0]"]["tid"] == 101
         assert events["worker[1]"]["tid"] == 102
         # Children inherit the nearest ancestor's lane.
@@ -102,7 +102,7 @@ class TestChromeTraceLanes:
 
     def test_lanes_get_thread_name_metadata(self):
         tracer = Tracer()
-        with _span(tracer, "parallel"):
+        with _span(tracer, "batch"):
             with _span(tracer, "worker[3]", {"worker": 3, "tid": 777}):
                 pass
         doc = spans_to_chrome_trace(tracer.roots)
@@ -121,7 +121,7 @@ class TestChromeTraceLanes:
         assert lanes == {1}
 
     def test_real_parallel_engine_records_native_tids(self, smooth_dem):
-        engine = ParallelQueryEngine(IHilbertIndex(smooth_dem), workers=2)
+        engine = BatchQueryEngine(IHilbertIndex(smooth_dem), workers=2)
         tracer = Tracer().attach(engine.index)
         vr = smooth_dem.value_range
         span = vr.hi - vr.lo

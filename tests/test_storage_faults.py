@@ -20,6 +20,7 @@ from repro.core import (
     IAllIndex,
     IHilbertIndex,
     LinearScanIndex,
+    PlannedIndex,
     ValueQuery,
 )
 from repro.obs.metrics import REGISTRY
@@ -40,6 +41,7 @@ METHODS = {
     "LinearScan": LinearScanIndex,
     "I-All": IAllIndex,
     "I-Hilbert": IHilbertIndex,
+    "I-Hilbert+planner": PlannedIndex,
 }
 
 BACKENDS = ["list", "mmap"]
@@ -377,7 +379,8 @@ def test_clean_query_is_never_marked_degraded(smooth_dem):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("method", ["I-All", "I-Hilbert"])
+@pytest.mark.parametrize("method", ["I-All", "I-Hilbert",
+                                    "I-Hilbert+planner"])
 def test_skip_mode_indexed_methods_report_the_page(method, backend,
                                                    smooth_dem):
     index = METHODS[method](smooth_dem, disk_backend=backend)
@@ -464,6 +467,39 @@ def test_batch_rejects_unknown_fault_mode(smooth_dem):
     engine = BatchQueryEngine(LinearScanIndex(smooth_dem))
     with pytest.raises(ValueError):
         engine.run(_workloads(smooth_dem), on_fault="ignore")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_batch_fault_outcomes_do_not_depend_on_workers(method, backend,
+                                                       smooth_dem):
+    """One and four workers fail with the same error in raise mode and
+    degrade identically in skip mode: answers, skipped pages, per-query
+    and batch I/O, pool counters."""
+    vr = smooth_dem.value_range
+    # Three merged groups, two of them with two members.
+    queries = [ValueQuery(vr.lo + a * vr.length, vr.lo + b * vr.length)
+               for a, b in ((0.0, 0.2), (0.1, 0.3), (0.5, 0.6),
+                            (0.55, 0.7), (0.9, 1.0))]
+
+    def run(workers, on_fault):
+        index = METHODS[method](smooth_dem, disk_backend=backend)
+        index.data_disk._flip_bit(index.store.page_ids[1], byte_index=3,
+                                  bit=2)
+        engine = BatchQueryEngine(index, workers=workers, cache_pages=0)
+        try:
+            batch = engine.run(queries, on_fault=on_fault)
+        except CorruptPageError as exc:
+            return "error", exc.disk, exc.page_id
+        return ([(r.candidate_count, r.area, r.io,
+                  [f.page_id for f in r.faults]) for r in batch.results],
+                batch.io, batch.pool)
+
+    assert run(1, "raise")[0] == "error"
+    assert run(4, "raise") == run(1, "raise")
+    degraded = run(1, "skip")
+    assert any(faults for *_, faults in degraded[0])
+    assert run(4, "skip") == degraded
 
 
 # -- metrics -----------------------------------------------------------------

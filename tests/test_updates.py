@@ -195,6 +195,59 @@ def test_apply_updates_requires_a_field():
         index.apply_updates([0], [1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_non_finite_updates_change_nothing(method, bad, tmp_path):
+    """NaN, ±inf, and finite values the float32 records cannot hold,
+    are refused before the field, the pages or the WAL change."""
+    field = small_dem()
+    index = METHODS[method](field)
+    wal = index.attach_wal(tmp_path / "updates.wal")
+    heights = field.heights.copy()
+    vr = field.value_range
+    full = ValueQuery(vr.lo, vr.hi)
+    before = index.query(full)
+    with pytest.raises(ValueError, match=r"values\[1\]"):
+        index.apply_updates([0, 1], [vr.lo, bad])
+    records = field.cell_records()[:2].copy()
+    with np.errstate(over="ignore"):
+        records["vmax"][1] = bad
+    with pytest.raises(ValueError, match=r"records\[1\]\.vmax"):
+        index.update_cells(np.asarray([0, 1], dtype=np.int64), records)
+    assert np.array_equal(field.heights, heights)
+    assert field.value_range == vr
+    assert not wal.pending
+    after = index.query(full)
+    assert after.candidate_count == before.candidate_count == \
+        field.num_cells
+    assert after.area == before.area
+    wal.close()
+
+
+def test_sharded_update_refuses_non_finite_before_routing():
+    from repro.shard import ShardedEngine
+    field = small_dem()
+    engine = ShardedEngine(field, n_shards=2, method="I-Hilbert")
+    # One record per shard; the bad one is routed second.
+    ids = np.asarray([engine.shards[0].spec.start,
+                      engine.shards[-1].spec.start], dtype=np.int64)
+    ids = engine._order[ids]
+    records = field.cell_records()[ids].copy()
+    records["vmin"] -= 1000.0
+    records["vmin"][1] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        engine.update_cells(ids, records)
+    vr = field.value_range
+    low = ValueQuery(vr.lo - 2000.0, vr.lo - 500.0)
+    assert engine.query(low).candidate_count == 0
+
+
+def test_value_query_rejects_nan_bounds():
+    for lo, hi in ((np.nan, 1.0), (0.0, np.nan), (np.nan, np.nan)):
+        with pytest.raises(ValueError, match="must be numbers"):
+            ValueQuery(lo, hi)
+
+
 # -- satellite 1: buffer-pool blast radius -----------------------------------
 
 def test_record_store_update_invalidates_only_the_written_page():

@@ -1,13 +1,21 @@
-"""Vectorized-engine equivalence: the fast path changes nothing but time.
+"""One filter path, checked against a brute-force oracle.
 
-The vectorized executor (``engine="vectorized"``, the default) must be
-observationally identical to the scalar page-at-a-time path
-(``engine="scalar"``): same candidate sets, same answer areas, and the
-same :class:`~repro.storage.stats.IOStats` field by field — page counts,
-sequential/random classification, cache hits — across the full matrix of
-{DEM, TIN} fields × {LinearScan, I-All, I-Hilbert} methods × {list,
-mmap} disk backends.  Plus hypothesis round-trips of the shared
-frame→records codec both engines decode through.
+Every access method answers a value query by fetching candidate pages
+and applying the float64 interval filter.  Two properties pin that path
+across the full matrix of {DEM, TIN} fields × {LinearScan, I-All,
+I-Hilbert, I-Hilbert+planner} × {list, mmap} disk backends:
+
+* candidates (records and order) and answer areas equal the brute-force
+  oracle of :mod:`tests.oracle` bit for bit;
+* the batched (vectorized) page-run fetch is observationally identical
+  to the page-at-a-time (scalar) fetch that fault injection and
+  ``on_fault="skip"`` need: an index matches a copy of itself with an
+  empty :class:`~repro.storage.faults.FaultInjector` attached in
+  candidate counts, areas, per-query ``IOStats`` and pool counters,
+  cold and with a warm cache.
+
+Plus hypothesis round-trips of the shared frame→records codec every
+fetch decodes through.
 """
 
 from __future__ import annotations
@@ -21,16 +29,21 @@ from repro.core import (
     IAllIndex,
     IHilbertIndex,
     LinearScanIndex,
+    PlannedIndex,
     ValueQuery,
 )
 from repro.field import DEMField
+from repro.storage import FaultInjector
 from repro.storage.codec import decode_pages, decode_records
 from repro.synth import fractal_dem_heights, lyon_like
+
+from .oracle import oracle_answer
 
 METHODS = {
     "LinearScan": LinearScanIndex,
     "I-All": IAllIndex,
     "I-Hilbert": IHilbertIndex,
+    "I-Hilbert+planner": PlannedIndex,
 }
 
 FIELDS = {
@@ -56,6 +69,23 @@ def queries_for(field) -> list[ValueQuery]:
     return queries
 
 
+def index_pair(method, field, **kwargs):
+    """An index and a copy of itself forced onto the per-page fetch."""
+    index = METHODS[method](field, **kwargs)
+    perpage = METHODS[method](field, **kwargs)
+    perpage.inject_faults(FaultInjector())
+    return index, perpage
+
+
+def observe(index, query):
+    """Candidate count, area, per-query I/O and pool traffic."""
+    pools = index.pools()
+    before = [p.counters() for p in pools]
+    result = index.query(query)
+    traffic = [p.counters().diff(b) for p, b in zip(pools, before)]
+    return result.candidate_count, result.area, result.io, traffic
+
+
 @pytest.fixture(scope="module", params=sorted(FIELDS))
 def field(request):
     return FIELDS[request.param]()
@@ -63,51 +93,59 @@ def field(request):
 
 @pytest.mark.parametrize("method", sorted(METHODS))
 @pytest.mark.parametrize("backend", ["list", "mmap"])
-def test_vectorized_equals_scalar(field, method, backend, tmp_path_factory):
-    """Answers AND I/O accounting match the scalar engine exactly."""
-    kwargs = {"disk_backend": backend}
-    vec = METHODS[method](field, engine="vectorized", **kwargs)
-    scl = METHODS[method](field, engine="scalar", **kwargs)
+def test_matches_oracle(field, method, backend):
+    """Candidates and areas equal the brute-force oracle bit for bit,
+    on the batched and on the per-page fetch."""
+    for index in index_pair(method, field, disk_backend=backend):
+        for query in queries_for(field):
+            want, want_area = oracle_answer(index, query)
+            got = index._candidates(query.lo, query.hi)
+            assert got.dtype == want.dtype, query
+            assert got.tobytes() == want.tobytes(), query
+            index.clear_caches()
+            result = index.query(query)
+            assert result.candidate_count == len(want), query
+            assert result.area == want_area, query
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+@pytest.mark.parametrize("backend", ["list", "mmap"])
+def test_vectorized_equals_scalar(field, method, backend):
+    """Cold: the batched fetch matches the per-page fetch exactly."""
+    vec, scl = index_pair(method, field, disk_backend=backend)
     for query in queries_for(field):
         for index in (vec, scl):
             index.clear_caches()
             index.stats.reset()
-        rv = vec.query(query)
-        rs = scl.query(query)
-        assert rv.candidate_count == rs.candidate_count, query
-        assert rv.area == rs.area, query
-        assert rv.io == rs.io, query
+        assert observe(vec, query) == observe(scl, query), query
         assert vec.stats == scl.stats, query
 
 
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_vectorized_equals_scalar_warm_cache(field, method):
     """The batched pool fetch keeps hit/miss accounting identical."""
-    vec = METHODS[method](field, engine="vectorized", cache_pages=64)
-    scl = METHODS[method](field, engine="scalar", cache_pages=64)
+    vec, scl = index_pair(method, field, cache_pages=64)
     for query in queries_for(field)[:8]:
-        rv = vec.query(query)     # caches deliberately NOT cleared
-        rs = scl.query(query)
-        assert rv.candidate_count == rs.candidate_count
-        assert rv.area == rs.area
-        assert rv.io == rs.io
+        # Caches deliberately NOT cleared between queries.
+        assert observe(vec, query) == observe(scl, query), query
     assert vec.stats == scl.stats
-    assert vec.store.pool.counters() == scl.store.pool.counters()
+    assert ([p.counters() for p in vec.pools()]
+            == [p.counters() for p in scl.pools()])
 
 
-def test_engine_validated():
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_attached_injector_forces_the_per_page_fetch(method):
+    """The per-page copy above really never fetches a batch."""
     field = FIELDS["dem"]()
-    with pytest.raises(ValueError, match="engine"):
-        LinearScanIndex(field, engine="simd")
+    _, perpage = index_pair(method, field)
 
+    def batched(*args):
+        raise AssertionError("batched fetch under an attached injector")
 
-def test_scalar_engine_is_preserved_on_candidates():
-    """The scalar escape hatch actually takes the per-page path."""
-    field = FIELDS["dem"]()
-    index = LinearScanIndex(field, engine="scalar")
-    assert not index._vector_fetch_ok()
-    index = LinearScanIndex(field, engine="vectorized")
-    assert index._vector_fetch_ok()
+    perpage.store.read_pages = batched
+    perpage.store.read_page_set = batched
+    for query in queries_for(field):
+        perpage.query(query)
 
 
 # -- codec round-trips -------------------------------------------------------

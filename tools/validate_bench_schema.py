@@ -2,7 +2,7 @@
 """Validate committed benchmark artifacts against their schemas.
 
 Understands the repo-root artifacts and dispatches on the document's
-``experiment`` field: ``BENCH_throughput.json`` (parallel-engine
+``experiment`` field: ``BENCH_throughput.json`` (batch-engine worker
 sweep), ``BENCH_update.json`` (live-update degradation/compaction/WAL
 run), ``BENCH_serve.json`` (multi-tenant query-service load run),
 ``BENCH_shard.json`` (Hilbert-range scale-out sweep over tiered
@@ -110,7 +110,7 @@ def check_method(entry: dict, workers: list) -> None:
 
 def check_pipeline(pipeline: dict, legacy_points: list, workers: list,
                    ctx: str) -> None:
-    """The merged+cached+vectorized sweep attached to a method entry."""
+    """The merged+cached+batched sweep attached to a method entry."""
     pctx = f"{ctx}.pipeline"
     if not isinstance(pipeline, dict):
         err(f"{pctx}: must be an object")
@@ -119,7 +119,7 @@ def check_pipeline(pipeline: dict, legacy_points: list, workers: list,
     if cache is not None and cache < 1:
         err(f"{pctx}: cache_pages must be >= 1, got {cache}")
     expect(pipeline, "merge", bool, pctx)
-    oracle = expect(pipeline, "scalar_oracle_page_reads", int, pctx)
+    oracle = expect(pipeline, "perpage_oracle_page_reads", int, pctx)
     points = expect(pipeline, "points", list, pctx)
     if points is None:
         return
@@ -145,13 +145,13 @@ def check_pipeline(pipeline: dict, legacy_points: list, workers: list,
     if [p["workers"] for p in points] != workers:
         err(f"{pctx}: points sweep {[p['workers'] for p in points]} "
             f"!= declared workers {workers}")
-    # Byte-identity to the serial scalar oracle shows up as exactly the
-    # oracle's page count at every sweep point.
+    # Byte-identity to the one-worker per-page-fetch oracle shows up as
+    # exactly the oracle's page count at every sweep point.
     if oracle is not None:
         for point in points:
             if point["page_reads"] != oracle:
                 err(f"{pctx}: workers={point['workers']} read "
-                    f"{point['page_reads']} pages, scalar oracle read "
+                    f"{point['page_reads']} pages, per-page oracle read "
                     f"{oracle}")
     # The serving configuration must not lose to the legacy sweep at
     # the largest worker count.
