@@ -356,8 +356,8 @@ def throughput(full: bool = False, queries: int | None = None,
     """Queries/sec vs worker count on the Fig. 8a workload.
 
     Runs the Fig. 8a query mix against LinearScan, I-All and I-Hilbert
-    (mmap-backed storage) through the
-    :class:`~repro.core.batch.BatchQueryEngine` at each worker count,
+    (in-memory :class:`~repro.storage.disk.DiskManager` storage) through
+    the :class:`~repro.core.batch.BatchQueryEngine` at each worker count,
     with the :class:`~repro.core.batch.DeviceModel` turning accounted
     page reads into real waits — the serving regime where thread-level
     overlap pays.  Before the sweep each method's workload is executed
@@ -404,14 +404,14 @@ def throughput(full: bool = False, queries: int | None = None,
                                          count=per_q, seed=seed)
     device = DeviceModel()
     factories = {
-        "LinearScan": lambda f: LinearScanIndex(f, disk_backend="mmap"),
-        "I-All": lambda f: IAllIndex(f, disk_backend="mmap"),
-        "I-Hilbert": lambda f: IHilbertIndex(f, disk_backend="mmap"),
+        "LinearScan": LinearScanIndex,
+        "I-All": IAllIndex,
+        "I-Hilbert": IHilbertIndex,
     }
 
     lines = [
         f"== throughput: batch engine workers on Fig. 8a workload "
-        f"({size}x{size} terrain, mmap storage) ==",
+        f"({size}x{size} terrain) ==",
         f"queries: {len(workload)} ({per_q} per Qinterval setting "
         f"{QINTERVALS_FIG8}), seed={seed}, estimate={estimate}",
         f"device model: {device.random_read_ms} ms random / "
@@ -1124,9 +1124,8 @@ def serve_bench(full: bool = False, queries: int | None = None,
     field = roseburg_like(cells_per_side=size)
     facade = EngineFacade(default_workers=engine_workers)
     t0 = time.perf_counter()
-    # Pool-backed storage (not mmap) with a warm shared pool: the point
-    # here is the cross-tenant buffer pool and its per-tenant
-    # hit/miss/byte and residency attribution.
+    # A warm shared pool: the point here is the cross-tenant buffer
+    # pool and its per-tenant hit/miss/byte and residency attribution.
     facade.open_field("terrain",
                       IHilbertIndex(field, cache_pages=WARM_CACHE_PAGES))
     build_seconds = time.perf_counter() - t0

@@ -12,6 +12,7 @@ between methods is apples-to-apples.
 from __future__ import annotations
 
 import abc
+from collections.abc import Callable
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Literal
@@ -23,24 +24,17 @@ from ..field.extraction import extract_regions, total_area
 from ..obs.metrics import REGISTRY
 from ..obs.trace import NULL_TRACER
 from ..storage import (CorruptPageError, DiskManager, FaultInjector, IOStats,
-                       MmapDiskManager, PAGE_SIZE, PageFault, RecordStore,
-                       RetryingDiskManager, RetryingMmapDiskManager,
-                       RetryPolicy, SimulatedCrash, TransientIOError,
-                       WAL_CRASH_POINTS, WriteAheadLog)
+                       PAGE_SIZE, PageFault, RecordStore, RetryPolicy,
+                       SimulatedCrash, TransientIOError, WAL_CRASH_POINTS,
+                       WriteAheadLog)
 from .query import QueryResult, ValueQuery
 
 EstimateMode = Literal["none", "area", "regions"]
 FaultMode = Literal["raise", "skip"]
-#: Either a named built-in backend or an explicit
-#: ``(plain disk class, retrying disk class)`` pair — the hook custom
-#: tiers (e.g. :func:`repro.storage.remote.remote_backend`) plug into.
-DiskBackend = Literal["list", "mmap"] | tuple[type, type]
-
-#: backend name -> (plain disk class, retrying disk class)
-_DISK_BACKENDS = {
-    "list": (DiskManager, RetryingDiskManager),
-    "mmap": (MmapDiskManager, RetryingMmapDiskManager),
-}
+#: A page-file factory with :class:`~repro.storage.disk.DiskManager`'s
+#: constructor signature: ``DiskManager`` itself, or a bound tier such
+#: as :func:`repro.storage.remote.remote_backend`'s.
+DiskBackend = Callable[..., DiskManager]
 
 _QUERIES = REGISTRY.counter(
     "repro_queries_total",
@@ -115,18 +109,17 @@ class ValueIndex(abc.ABC):
     page_size:
         Page size of the simulated store (default 4 KiB, the paper's).
     retry_policy:
-        When given, every disk this index creates is a
-        :class:`~repro.storage.retry.RetryingDiskManager` using this
-        policy, so transient read faults are retried transparently.
-        ``None`` (default) creates plain disks: the first transient
-        fault propagates.
+        When given, every disk this index creates retries transient
+        read faults under this
+        :class:`~repro.storage.disk.RetryPolicy`.  ``None`` (default)
+        lets the first transient fault propagate.
     disk_backend:
-        Page-file implementation: ``"list"`` (default) keeps one bytes
-        object per page; ``"mmap"`` backs every disk with an anonymous
-        memory map and serves zero-copy :class:`memoryview` payloads
-        with lazily batch-verified checksums (see
-        :class:`~repro.storage.mmapdisk.MmapDiskManager`).  Both honour
-        ``retry_policy`` and behave identically under fault injection.
+        Factory of every page file this index creates, called with
+        :class:`~repro.storage.disk.DiskManager`'s keyword arguments
+        (``stats``, ``name``, ``page_size``, ``retry_policy``).  The
+        default is the in-memory ``DiskManager``;
+        :func:`~repro.storage.remote.remote_backend` puts the files in
+        an object store instead.
     """
 
     #: Human-readable method name, as used in the paper's plots.
@@ -136,7 +129,7 @@ class ValueIndex(abc.ABC):
                  stats: IOStats | None = None,
                  page_size: int = PAGE_SIZE,
                  retry_policy: RetryPolicy | None = None,
-                 disk_backend: DiskBackend = "list") -> None:
+                 disk_backend: DiskBackend = DiskManager) -> None:
         self.field = field
         self.field_type = type(field)
         self.stats = stats if stats is not None else IOStats()
@@ -154,27 +147,6 @@ class ValueIndex(abc.ABC):
         self.tracer = NULL_TRACER
         self.page_size = page_size
         self.retry_policy = retry_policy
-        if isinstance(disk_backend, str):
-            if disk_backend not in _DISK_BACKENDS:
-                raise ValueError(
-                    f"unknown disk_backend {disk_backend!r}; expected one "
-                    f"of {sorted(_DISK_BACKENDS)} or a (plain, retrying) "
-                    f"disk-class pair")
-        else:
-            try:
-                plain_cls, retrying_cls = disk_backend
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"disk_backend must be a backend name or a "
-                    f"(plain, retrying) disk-class pair, got "
-                    f"{disk_backend!r}") from None
-            for cls in (plain_cls, retrying_cls):
-                if not (isinstance(cls, type)
-                        and issubclass(cls, DiskManager)):
-                    raise ValueError(
-                        f"disk_backend classes must subclass DiskManager, "
-                        f"got {cls!r}")
-            disk_backend = (plain_cls, retrying_cls)
         self.disk_backend = disk_backend
         self._fault_mode: FaultMode = "raise"
         self._query_faults: list[PageFault] = []
@@ -185,15 +157,9 @@ class ValueIndex(abc.ABC):
     def _make_disk(self, name: str) -> DiskManager:
         """Create a page file honouring this index's backend and retry
         policy."""
-        plain_cls, retrying_cls = (
-            _DISK_BACKENDS[self.disk_backend]
-            if isinstance(self.disk_backend, str) else self.disk_backend)
-        if self.retry_policy is not None:
-            return retrying_cls(stats=self.stats, name=name,
-                                page_size=self.page_size,
-                                retry_policy=self.retry_policy)
-        return plain_cls(stats=self.stats, name=name,
-                         page_size=self.page_size)
+        return self.disk_backend(stats=self.stats, name=name,
+                                 page_size=self.page_size,
+                                 retry_policy=self.retry_policy)
 
     def inject_faults(self, injector: FaultInjector) -> FaultInjector:
         """Attach a fault injector to every disk this index owns.
@@ -325,6 +291,37 @@ class ValueIndex(abc.ABC):
         if len(parts) == 1:
             return parts[0]
         return np.concatenate(parts)
+
+    def _fetch_rids(self, rids) -> np.ndarray:
+        """Records of the given record ids, in ascending rid order.
+
+        The rids are sorted so page fetches are deduplicated and as
+        sequential as the clustering permits.  On the clean path the
+        page set is one :meth:`RecordStore.read_page_set` batch; with a
+        fault injector attached or in skip mode it is fetched page by
+        page through :meth:`_read_data_page`, which drops the records
+        of a skipped page.
+        """
+        rids = np.sort(np.asarray(rids, dtype=np.int64))
+        per_page = self.store.records_per_page
+        pages = rids // per_page
+        slots = rids - pages * per_page
+        if self._batched_fetch_ok():
+            records, upages, offsets = self.store.read_page_set(pages)
+            return records[offsets[np.searchsorted(upages, pages)] + slots]
+        chunks = []
+        start = 0
+        for end in range(1, len(pages) + 1):
+            if end == len(pages) or pages[end] != pages[start]:
+                page_records = self._read_data_page(int(pages[start]))
+                if page_records is not None:
+                    chunks.append(page_records[slots[start:end]])
+                start = end
+        if not chunks:
+            return np.empty(0, dtype=self.store.dtype)
+        if len(chunks) == 1:
+            return chunks[0]
+        return np.concatenate(chunks)
 
     def _filter_runs(self, runs, lo: float, hi: float) -> np.ndarray:
         """Filter step over inclusive ``(first, last)`` store page runs.

@@ -71,7 +71,7 @@ def bulk_build(field: Field, method: str = "I-Hilbert",
 
     ``method`` names one of :func:`bulk_methods`; remaining keyword
     arguments (``curve``, ``grouping``, ``cache_pages``,
-    ``disk_backend``, ``engine``, ...) pass through to the index
+    ``disk_backend``, ...) pass through to the index
     constructor.  Returns the built index and a timing report whose
     ``cells_per_second`` is the benchmark's ingestion metric.
     """

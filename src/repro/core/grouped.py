@@ -14,7 +14,7 @@ from ..field.base import Field
 from ..geometry import Rect
 from ..obs.metrics import REGISTRY
 from ..rstar import RStarTree
-from ..storage import IOStats, PAGE_SIZE, RetryPolicy
+from ..storage import DiskManager, IOStats, PAGE_SIZE, RetryPolicy
 from .base import DiskBackend, ValueIndex
 from .cost import CostBasedGrouping, GroupingPolicy, group_cells
 from .subfield import Subfield
@@ -56,7 +56,7 @@ class GroupedIntervalIndex(ValueIndex):
                  stats: IOStats | None = None,
                  page_size: int = PAGE_SIZE,
                  retry_policy: RetryPolicy | None = None,
-                 disk_backend: DiskBackend = "list",
+                 disk_backend: DiskBackend = DiskManager,
                  grouping: GroupingPolicy | None = None,
                  bulk: bool = False) -> None:
         super().__init__(field, cache_pages=cache_pages, stats=stats,

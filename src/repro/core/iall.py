@@ -14,7 +14,7 @@ import numpy as np
 from ..field.base import Field
 from ..geometry import Rect
 from ..rstar import RStarTree
-from ..storage import IOStats, PAGE_SIZE, RetryPolicy
+from ..storage import DiskManager, IOStats, PAGE_SIZE, RetryPolicy
 from .base import DiskBackend, ValueIndex
 
 
@@ -39,7 +39,7 @@ class IAllIndex(ValueIndex):
                  cache_pages: int = 0, stats: IOStats | None = None,
                  page_size: int = PAGE_SIZE,
                  retry_policy: RetryPolicy | None = None,
-                 disk_backend: DiskBackend = "list") -> None:
+                 disk_backend: DiskBackend = DiskManager) -> None:
         super().__init__(field, cache_pages=cache_pages, stats=stats,
                          page_size=page_size, retry_policy=retry_policy,
                          disk_backend=disk_backend)
@@ -107,30 +107,5 @@ class IAllIndex(ValueIndex):
                 span.attrs["entries"] = len(rids)
         if len(rids) == 0:
             return np.empty(0, dtype=self.store.dtype)
-        # A realistic executor sorts the rid list so page fetches are
-        # deduplicated and as sequential as the clustering permits.
-        rids_arr = np.sort(np.asarray(rids, dtype=np.int64))
-        per_page = self.store.records_per_page
-        pages = rids_arr // per_page
-        slots = rids_arr - pages * per_page
         with tracer.span("fetch"):
-            if self._batched_fetch_ok():
-                # One batched fetch of the (deduplicated, ascending)
-                # page set, then a single gather in rid order — the
-                # same reads and output as the page-group loop below.
-                records, upages, offsets = self.store.read_page_set(pages)
-                return records[offsets[np.searchsorted(upages, pages)]
-                               + slots]
-            chunks = []
-            start = 0
-            for end in range(1, len(pages) + 1):
-                if end == len(pages) or pages[end] != pages[start]:
-                    page_records = self._read_data_page(int(pages[start]))
-                    if page_records is not None:
-                        chunks.append(page_records[slots[start:end]])
-                    start = end
-        if not chunks:
-            return np.empty(0, dtype=self.store.dtype)
-        if len(chunks) == 1:
-            return chunks[0]
-        return np.concatenate(chunks)
+            return self._fetch_rids(rids)

@@ -21,7 +21,7 @@ from ..curves import (
     SpaceFillingCurve,
 )
 from ..field.base import Field
-from ..storage import IOStats, PAGE_SIZE, RetryPolicy
+from ..storage import DiskManager, IOStats, PAGE_SIZE, RetryPolicy
 from .base import DiskBackend
 from .cost import CostBasedGrouping, GroupingPolicy, group_cells
 from .grouped import GroupedIntervalIndex
@@ -93,7 +93,7 @@ class IHilbertIndex(GroupedIntervalIndex):
                  cache_pages: int = 0, stats: IOStats | None = None,
                  page_size: int = PAGE_SIZE,
                  retry_policy: RetryPolicy | None = None,
-                 disk_backend: DiskBackend = "list",
+                 disk_backend: DiskBackend = DiskManager,
                  bulk: bool = False) -> None:
         if isinstance(curve, str):
             dim = field.cell_centroids().shape[1]

@@ -139,17 +139,4 @@ class ITreeIndex(ValueIndex):
         rids = query_interval_tree(self.root, lo, hi)
         if not rids:
             return np.empty(0, dtype=self.store.dtype)
-        rids_arr = np.sort(np.asarray(rids, dtype=np.int64))
-        per_page = self.store.records_per_page
-        pages = rids_arr // per_page
-        slots = rids_arr - pages * per_page
-        chunks = []
-        start = 0
-        for end in range(1, len(pages) + 1):
-            if end == len(pages) or pages[end] != pages[start]:
-                page_records = self.store.read_page(int(pages[start]))
-                chunks.append(page_records[slots[start:end]])
-                start = end
-        if len(chunks) == 1:
-            return chunks[0]
-        return np.concatenate(chunks)
+        return self._fetch_rids(rids)

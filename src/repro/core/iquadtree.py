@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..field.base import Field
-from ..storage import IOStats, PAGE_SIZE, RetryPolicy
+from ..storage import DiskManager, IOStats, PAGE_SIZE, RetryPolicy
 from .base import DiskBackend
 from .cost import ThresholdGrouping
 from .grouped import GroupedIntervalIndex
@@ -47,7 +47,7 @@ class IntervalQuadtreeIndex(GroupedIntervalIndex):
                  stats: IOStats | None = None,
                  page_size: int = PAGE_SIZE,
                  retry_policy: RetryPolicy | None = None,
-                 disk_backend: DiskBackend = "list") -> None:
+                 disk_backend: DiskBackend = DiskManager) -> None:
         records = field.cell_records()
         vmins = records["vmin"].astype(np.float64)
         vmaxs = records["vmax"].astype(np.float64)

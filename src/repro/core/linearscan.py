@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..field.base import Field
-from ..storage import IOStats, PAGE_SIZE, RetryPolicy
+from ..storage import DiskManager, IOStats, PAGE_SIZE, RetryPolicy
 from .base import DiskBackend, ValueIndex
 
 
@@ -24,7 +24,7 @@ class LinearScanIndex(ValueIndex):
                  stats: IOStats | None = None,
                  page_size: int = PAGE_SIZE,
                  retry_policy: RetryPolicy | None = None,
-                 disk_backend: DiskBackend = "list") -> None:
+                 disk_backend: DiskBackend = DiskManager) -> None:
         super().__init__(field, cache_pages=cache_pages, stats=stats,
                          page_size=page_size, retry_policy=retry_policy,
                          disk_backend=disk_backend)

@@ -36,7 +36,7 @@ import numpy as np
 from ..field.dem import DEMField
 from ..field.tin import TINField
 from ..field.volume import VolumeField
-from ..storage import IOStats, RecordStore
+from ..storage import DiskManager, IOStats, RecordStore
 from ..storage.faults import SimulatedCrash
 from ..storage.scrub import file_sha256
 from ..storage.snapshot import fsync_dir, load_disk, save_disk
@@ -308,7 +308,7 @@ def load_index(directory: str | Path, cache_pages: int = 0,
     if built_costs is not None:
         index._built_costs = [float(c) for c in built_costs]
     index.retry_policy = None
-    index.disk_backend = "list"
+    index.disk_backend = DiskManager
     index._fault_mode = "raise"
     index._query_faults = []
     from ..obs.trace import NULL_TRACER

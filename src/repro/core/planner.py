@@ -23,7 +23,7 @@ import numpy as np
 
 from ..field.base import Field
 from ..obs.metrics import REGISTRY
-from ..storage import IOStats, PAGE_SIZE, RetryPolicy
+from ..storage import DiskManager, IOStats, PAGE_SIZE, RetryPolicy
 from .base import DiskBackend
 from .cost import GroupingPolicy
 from .ihilbert import IHilbertIndex
@@ -111,7 +111,7 @@ class PlannedIndex(IHilbertIndex):
                  costs: CostConstants | None = None,
                  page_size: int = PAGE_SIZE,
                  retry_policy: RetryPolicy | None = None,
-                 disk_backend: DiskBackend = "list",
+                 disk_backend: DiskBackend = DiskManager,
                  bulk: bool = False) -> None:
         super().__init__(field, curve=curve, grouping=grouping,
                          cache_pages=cache_pages, stats=stats,

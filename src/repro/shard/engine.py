@@ -48,7 +48,7 @@ from ..core.cost import CostBasedGrouping, group_cells
 from ..core.facade import EngineFacade
 from ..core.grouped import GroupedIntervalIndex
 from ..core.iall import IAllIndex
-from ..core.ihilbert import (default_curve_order, linearize, make_curve,
+from ..core.ihilbert import (default_curve_order, make_curve,
                              centroid_grid_coords)
 from ..core.linearscan import LinearScanIndex
 from ..core.persist import load_index, save_index
@@ -57,7 +57,8 @@ from ..field.base import Field
 from ..geometry import Rect
 from ..obs.trace import NULL_TRACER
 from ..rstar import RStarTree
-from ..storage import IOStats, PAGE_HEADER_SIZE, PoolCounters, TenantCounters
+from ..storage import (DiskManager, IOStats, PAGE_HEADER_SIZE, PoolCounters,
+                       TenantCounters)
 from ..storage.remote import SimulatedObjectStore, remote_backend
 from .field import shard_field_view
 from .shardmap import (ShardMap, aligned_cut, build_shard_map,
@@ -337,7 +338,8 @@ class ShardedEngine(ValueIndex):
         When a :class:`~repro.storage.remote.SimulatedObjectStore` is
         given, every shard's pages live in it — each shard disk behind
         its own ``remote_cache_pages``-frame local cache under the
-        namespace ``shard-<uid>`` — and ``disk_backend`` is ignored.
+        namespace ``shard-<uid>``.  Otherwise shards are in-memory
+        :class:`~repro.storage.disk.DiskManager` files.
     map_dir:
         When given, the shard map is committed there at build time and
         re-committed atomically after every rebalance.
@@ -350,7 +352,6 @@ class ShardedEngine(ValueIndex):
                  cache_pages: int = 0,
                  page_size: int = PAGE_SIZE,
                  retry_policy=None,
-                 disk_backend="list",
                  remote_store: SimulatedObjectStore | None = None,
                  remote_cache_pages: int = 64,
                  map_dir: str | Path | None = None) -> None:
@@ -360,8 +361,8 @@ class ShardedEngine(ValueIndex):
                 f"{type(field).__name__} records carry no 'cell_id' "
                 f"column; the gather merge key requires one")
         self._init_protocol(field, type(field), method, cache_pages,
-                            page_size, retry_policy, disk_backend,
-                            remote_store, remote_cache_pages)
+                            page_size, retry_policy, remote_store,
+                            remote_cache_pages)
 
         dim = field.cell_centroids().shape[1]
         curve_obj = make_curve(curve, default_curve_order(field, dim), dim)
@@ -415,8 +416,8 @@ class ShardedEngine(ValueIndex):
     # -- construction internals ---------------------------------------------
 
     def _init_protocol(self, field, field_type, method, cache_pages,
-                       page_size, retry_policy, disk_backend,
-                       remote_store, remote_cache_pages) -> None:
+                       page_size, retry_policy, remote_store,
+                       remote_cache_pages) -> None:
         """Set up the ``ValueIndex`` protocol surface by hand.
 
         Deliberately no ``super().__init__``: the coordinator owns no
@@ -437,7 +438,6 @@ class ShardedEngine(ValueIndex):
         self.tracer = NULL_TRACER
         self.page_size = page_size
         self.retry_policy = retry_policy
-        self.disk_backend = disk_backend
         self.cache_pages = cache_pages
         self.remote_store = remote_store
         self.remote_cache_pages = remote_cache_pages
@@ -464,7 +464,7 @@ class ShardedEngine(ValueIndex):
             return remote_backend(self.remote_store,
                                   self.remote_cache_pages,
                                   namespace=f"shard-{uid}")
-        return self.disk_backend
+        return DiskManager
 
     def _make_runtime(self, view, spec, *, groups=None,
                       forced=None) -> ShardRuntime:
@@ -957,7 +957,7 @@ class ShardedEngine(ValueIndex):
         smap, extra = load_shard_map(directory)
         engine = cls.__new__(cls)
         engine._init_protocol(field, None, extra["method"], cache_pages,
-                              PAGE_SIZE, None, "list", None, 64)
+                              PAGE_SIZE, None, None, 64)
         engine.shard_map = smap
         engine._next_uid = max(extra["uids"]) + 1
         order_parts = []

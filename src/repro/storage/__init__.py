@@ -3,15 +3,12 @@ fault injection, retries, snapshots, and offline scrub."""
 
 from .buffer import BufferPool, PoolCounters, TenantCounters
 from .disk import (CHECKSUM_NAME, DiskManager, PAGE_HEADER_SIZE, PAGE_SIZE,
-                   page_checksum)
+                   RetryPolicy, page_checksum)
 from .faults import (CorruptPageError, FaultEvent, FaultInjector, FaultSpec,
                      PageError, PageFault, SimulatedCrash, TransientIOError)
-from .mmapdisk import MmapDiskManager, RetryingMmapDiskManager
 from .records import RecordStore
 from .remote import (REMOTE_GET_MS, REMOTE_PUT_MS, RemoteDiskManager,
-                     RemoteFetchError, RetryingRemoteDiskManager,
-                     SimulatedObjectStore, remote_backend)
-from .retry import RetryingDiskManager, RetryingReadMixin, RetryPolicy
+                     RemoteFetchError, SimulatedObjectStore, remote_backend)
 from .scrub import ScrubReport, file_sha256, repair_index, scrub_index
 from .snapshot import (SAVE_DISK_CRASH_POINTS, SnapshotError, load_disk,
                        save_disk, verify_snapshot)
@@ -29,7 +26,6 @@ __all__ = [
     "FaultInjector",
     "FaultSpec",
     "IOStats",
-    "MmapDiskManager",
     "PAGE_HEADER_SIZE",
     "PAGE_SIZE",
     "PageError",
@@ -41,10 +37,6 @@ __all__ = [
     "RemoteDiskManager",
     "RemoteFetchError",
     "RetryPolicy",
-    "RetryingDiskManager",
-    "RetryingMmapDiskManager",
-    "RetryingReadMixin",
-    "RetryingRemoteDiskManager",
     "SimulatedObjectStore",
     "SAVE_DISK_CRASH_POINTS",
     "ScrubReport",

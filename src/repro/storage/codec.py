@@ -1,14 +1,13 @@
 """Shared frame-payload → structured-record codec.
 
-Both disk backends hand back page payloads as buffer-protocol objects —
-``bytes`` from the list-backed :class:`~repro.storage.disk.DiskManager`,
-read-only ``memoryview`` slices from
-:class:`~repro.storage.mmapdisk.MmapDiskManager` — and every reader used
-to carry its own ``np.frombuffer`` call, which had already started to
-drift between the list and mmap paths.  This module is now the single
-entry point: :func:`decode_records` decodes one payload,
-:func:`decode_pages` decodes a contiguous run of payloads into one
-structured array for the vectorized query path.
+Page files hand back payloads as buffer-protocol objects (``bytes``
+from :class:`~repro.storage.disk.DiskManager` and
+:class:`~repro.storage.remote.RemoteDiskManager`), and every reader —
+candidate scans, the shard scatter-gather transport — decodes them
+here rather than with its own ``np.frombuffer`` call:
+:func:`decode_records` decodes one payload, :func:`decode_pages`
+decodes a contiguous run of payloads into one structured array for the
+vectorized query path.
 
 Decoding is zero-copy where the buffer allows it: ``np.frombuffer``
 wraps the payload without copying (the resulting array is read-only for

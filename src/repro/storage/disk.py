@@ -20,13 +20,16 @@ materializes the full on-disk frame for snapshots and scrubbing.
 Failure injection hooks into the same object: attach a
 :class:`~repro.storage.faults.FaultInjector` via :attr:`fault_injector`
 and reads/writes start failing on the injector's deterministic
-schedule.  With no injector attached the only hot-path overhead is the
-checksum verification itself.
+schedule.  A :class:`RetryPolicy` given at construction makes
+:meth:`DiskManager.read` retry transient faults with exponential
+(simulated) backoff.  With neither attached the only hot-path overhead
+is the checksum verification itself.
 """
 
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass
 
 from ..obs.metrics import REGISTRY
 from .faults import CorruptPageError, PageError, TransientIOError
@@ -73,6 +76,39 @@ _CORRUPT = REGISTRY.counter(
 _INJECTED = REGISTRY.counter(
     "repro_disk_injected_faults_total",
     "Faults fired by an attached FaultInjector, per file and kind.")
+_RETRIES = REGISTRY.counter(
+    "repro_disk_read_retries_total",
+    "Read attempts repeated after a transient fault, per simulated file.")
+_EXHAUSTED = REGISTRY.counter(
+    "repro_disk_retries_exhausted_total",
+    "Reads abandoned after max_attempts transient faults, per file.")
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """How many times to retry a transient read fault, and how fast.
+
+    Production storage distinguishes *transient* faults (a timed-out
+    request — retry it) from *permanent* ones (a page whose checksum
+    fails — retrying re-reads the same rotten bytes); only
+    :class:`~repro.storage.faults.TransientIOError` is retried.
+    ``backoff_ms(attempt)`` grows exponentially:
+    ``backoff_base_ms * backoff_factor ** (attempt - 1)`` for the
+    attempt-th retry (1-based).
+    """
+
+    max_attempts: int = 4
+    backoff_base_ms: float = 1.0
+    backoff_factor: float = 2.0
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ValueError(
+                f"max_attempts must be >= 1, got {self.max_attempts}")
+
+    def backoff_ms(self, attempt: int) -> float:
+        """Simulated delay before the ``attempt``-th retry (1-based)."""
+        return self.backoff_base_ms * self.backoff_factor ** (attempt - 1)
 
 
 class DiskManager:
@@ -89,6 +125,11 @@ class DiskManager:
         Page capacity in bytes; defaults to :data:`PAGE_SIZE`.  Must
         exceed :data:`PAGE_HEADER_SIZE`; payloads may use at most
         :attr:`usable_page_size` bytes.
+    retry_policy:
+        When given, :meth:`read` retries
+        :class:`~repro.storage.faults.TransientIOError` under this
+        policy; ``None`` (default) lets the first transient fault
+        propagate.  Corruption is never retried.
     """
 
     #: Forward gaps up to this many pages count as streaming past (the
@@ -97,7 +138,8 @@ class DiskManager:
 
     def __init__(self, stats: IOStats | None = None, name: str = "disk",
                  page_size: int = PAGE_SIZE,
-                 near_window: int | None = None) -> None:
+                 near_window: int | None = None,
+                 retry_policy: RetryPolicy | None = None) -> None:
         if page_size <= PAGE_HEADER_SIZE:
             raise PageError(
                 f"page size {page_size} leaves no payload room after the "
@@ -107,6 +149,9 @@ class DiskManager:
         self.page_size = page_size
         self.near_window = (self.NEAR_WINDOW if near_window is None
                             else near_window)
+        self.retry_policy = retry_policy
+        #: Total simulated backoff delay spent on retries.
+        self.simulated_backoff_ms = 0.0
         #: Optional :class:`~repro.storage.faults.FaultInjector`; when
         #: None (default) reads and writes never fail on purpose.
         self.fault_injector = None
@@ -167,27 +212,50 @@ class DiskManager:
         read is still accounted — a failed transfer moved the head).
         With a fault injector attached, the injector may raise
         :class:`TransientIOError` or damage the page first.
+
+        With a :attr:`retry_policy`, a :class:`TransientIOError` is
+        retried up to ``max_attempts`` times.  Every attempt is an
+        accounted transfer; each retry also counts in
+        ``IOStats.read_retries`` and adds its backoff to
+        :attr:`simulated_backoff_ms`.  When every attempt fails the
+        last ``TransientIOError`` propagates.
         """
         self._check(page_id)
-        self.stats.page_reads += 1
-        gap = (page_id - self._last_read - 1
-               if self._last_read is not None else -1)
-        if 0 <= gap <= self.near_window:
-            # Short forward hop: the head streams over the gap.
-            self.stats.sequential_reads += 1
-            self.stats.skipped_pages += gap
-            if REGISTRY.enabled:
-                _READS.inc(1, disk=self.name, kind="sequential")
-                if gap:
-                    _SKIPPED.inc(gap, disk=self.name)
-        else:
-            self.stats.random_reads += 1
-            if REGISTRY.enabled:
-                _READS.inc(1, disk=self.name, kind="random")
-        self._last_read = page_id
-        if self.fault_injector is not None:
-            self._injected_read(page_id)
-        return self._verified_payload(page_id)
+        attempt = 1
+        while True:
+            self.stats.page_reads += 1
+            gap = (page_id - self._last_read - 1
+                   if self._last_read is not None else -1)
+            if 0 <= gap <= self.near_window:
+                # Short forward hop: the head streams over the gap.
+                self.stats.sequential_reads += 1
+                self.stats.skipped_pages += gap
+                if REGISTRY.enabled:
+                    _READS.inc(1, disk=self.name, kind="sequential")
+                    if gap:
+                        _SKIPPED.inc(gap, disk=self.name)
+            else:
+                self.stats.random_reads += 1
+                if REGISTRY.enabled:
+                    _READS.inc(1, disk=self.name, kind="random")
+            self._last_read = page_id
+            try:
+                if self.fault_injector is not None:
+                    self._injected_read(page_id)
+                return self._verified_payload(page_id)
+            except TransientIOError:
+                policy = self.retry_policy
+                if policy is None:
+                    raise
+                if attempt >= policy.max_attempts:
+                    if REGISTRY.enabled:
+                        _EXHAUSTED.inc(1, disk=self.name)
+                    raise
+                self.stats.read_retries += 1
+                self.simulated_backoff_ms += policy.backoff_ms(attempt)
+                if REGISTRY.enabled:
+                    _RETRIES.inc(1, disk=self.name)
+                attempt += 1
 
     def read_many(self, page_ids) -> list:
         """Read several pages, accounted identically to serial :meth:`read`.
@@ -200,11 +268,11 @@ class DiskManager:
         ``finally`` block covering every page whose transfer was
         *attempted* — a checksum failure mid-batch leaves the stats
         exactly as the serial loop would (the failed read is accounted,
-        later pages are not).  With a fault injector attached the batch
-        degrades to serial reads so injection schedules (and any
-        retrying subclass's ``read``) observe every access.
+        later pages are not).  With a fault injector or a retry policy
+        attached the batch degrades to serial :meth:`read` calls, so
+        injection schedules and the retry loop see every access.
         """
-        if self.fault_injector is not None:
+        if self.fault_injector is not None or self.retry_policy is not None:
             return [self.read(pid) for pid in page_ids]
         for pid in page_ids:
             self._check(pid)

@@ -44,7 +44,7 @@ class TransientIOError(PageError):
 class CorruptPageError(PageError):
     """A page's checksum does not match its contents (permanent fault).
 
-    Retrying cannot help: the stored bytes themselves are damaged (bit
+    A retry cannot help: the stored bytes themselves are damaged (bit
     rot, torn write).  The page must be rewritten or restored from a
     snapshot.
     """

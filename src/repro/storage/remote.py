@@ -17,15 +17,13 @@ storage layer:
   to the store; reads are served from a bounded LRU frame cache and
   fall back to an accounted *remote fetch* on a miss, evicting the
   least-recently-used frame when the cache is full.  Checksums are
-  verified on every read exactly like the local backends, so bit rot in
+  verified on every read exactly like the local disk, so bit rot in
   the remote tier surfaces as the same typed
-  :class:`~repro.storage.faults.CorruptPageError`.
-* :class:`RetryingRemoteDiskManager` — the same disk behind the shared
-  :class:`~repro.storage.retry.RetryingReadMixin`, so transient fetch
-  errors are retried with exponential backoff like any other transient
-  fault.
-* :func:`remote_backend` — binds a store + cache budget into a
-  ``(plain, retrying)`` disk-class pair that plugs straight into
+  :class:`~repro.storage.faults.CorruptPageError`, and with a
+  ``retry_policy`` transient fetch errors are retried with exponential
+  backoff like any other transient fault.
+* :func:`remote_backend` — binds a store + cache budget into a disk
+  factory that plugs straight into
   :class:`~repro.core.base.ValueIndex`'s ``disk_backend`` parameter, so
   any access method can run over the remote tier unchanged.
 
@@ -36,15 +34,15 @@ and eviction counters stay attributable per disk.
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import OrderedDict
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from .disk import (DiskManager, PAGE_HEADER_SIZE, _FRAME, _FRAME_MAGIC,
-                   CHECKSUM_ALGO, FRAME_VERSION, PAGE_SIZE, page_checksum,
-                   parse_frame)
+                   CHECKSUM_ALGO, FRAME_VERSION, PAGE_SIZE, RetryPolicy,
+                   page_checksum, parse_frame)
 from .faults import CorruptPageError, PageError, TransientIOError
-from .retry import RetryingReadMixin
 from .stats import IOStats
 
 #: Default simulated service times for one object-store round trip,
@@ -58,8 +56,8 @@ REMOTE_PUT_MS = 6.0
 class RemoteFetchError(TransientIOError):
     """A remote GET failed transiently (timeout, throttle, 5xx).
 
-    A :class:`~repro.storage.faults.TransientIOError`, so the shared
-    retry machinery cures it; carries the object key for reports.
+    A :class:`~repro.storage.faults.TransientIOError`, so a disk's
+    retry policy cures it; carries the object key for reports.
     """
 
     def __init__(self, disk: str, page_id: int, key: str) -> None:
@@ -207,11 +205,15 @@ class RemoteDiskManager(DiskManager):
     namespace:
         Key prefix isolating this disk's frames inside a shared store
         (e.g. ``"shard-3"``); keys are ``namespace/name/page_id``.
+
+    The other parameters, ``retry_policy`` included, are
+    :class:`~repro.storage.disk.DiskManager`'s.
     """
 
     def __init__(self, stats: IOStats | None = None, name: str = "disk",
                  page_size: int = PAGE_SIZE,
-                 near_window: int | None = None, *,
+                 near_window: int | None = None,
+                 retry_policy: RetryPolicy | None = None, *,
                  store: SimulatedObjectStore,
                  cache_pages: int = 64,
                  namespace: str = "") -> None:
@@ -228,7 +230,7 @@ class RemoteDiskManager(DiskManager):
         self.fetch_ms = 0.0
         self.put_ms = 0.0
         super().__init__(stats=stats, name=name, page_size=page_size,
-                         near_window=near_window)
+                         near_window=near_window, retry_policy=retry_policy)
 
     def _init_storage(self) -> None:
         #: page_id -> (payload, crc, length); insertion order = LRU.
@@ -342,12 +344,11 @@ class RemoteDiskManager(DiskManager):
         if page_id in self._written:
             self.store.corrupt(self._key(page_id), byte_index, bit)
         else:
-            payload, _, length = self._entry(page_id, accounted=False)
+            payload, crc, length = self._entry(page_id, accounted=False)
             page = bytearray(payload)
             page[byte_index] ^= 1 << bit
-            crc_entry = self._local[page_id][1]
             self.store.put(self._key(page_id),
-                           _pack_frame(bytes(page), crc_entry, length))
+                           _pack_frame(bytes(page), crc, length))
             self._written.add(page_id)
         self._local.pop(page_id, None)
 
@@ -365,33 +366,18 @@ class RemoteDiskManager(DiskManager):
                 "put_ms": self.put_ms}
 
 
-class RetryingRemoteDiskManager(RetryingReadMixin, RemoteDiskManager):
-    """A :class:`RemoteDiskManager` whose reads survive transient
-    fetch errors via the shared retry-with-backoff policy."""
-
-
 def remote_backend(store: SimulatedObjectStore, cache_pages: int = 64,
-                   namespace: str = "") -> tuple[type, type]:
-    """Bind a store + cache budget into a ``disk_backend`` class pair.
+                   namespace: str = "") -> Callable[..., RemoteDiskManager]:
+    """Bind a store + cache budget into a ``disk_backend`` factory.
 
     The result plugs into :class:`~repro.core.base.ValueIndex` (and
     therefore every access method) as ``disk_backend=remote_backend(
     store, cache_pages, namespace)``: each disk the index creates — the
     data file and, for indexed methods, the tree file — lives in the
     object store behind its own ``cache_pages``-frame local cache,
-    keyed under ``namespace/<file>/<page>``.
+    keyed under ``namespace/<file>/<page>``.  Indexes sharing one
+    store need distinct namespaces, or their files overwrite each
+    other's frames.
     """
-
-    class _BoundRemoteDisk(RemoteDiskManager):
-        def __init__(self, **kwargs) -> None:
-            super().__init__(store=store, cache_pages=cache_pages,
-                             namespace=namespace, **kwargs)
-
-    class _BoundRetryingRemoteDisk(RetryingRemoteDiskManager):
-        def __init__(self, **kwargs) -> None:
-            super().__init__(store=store, cache_pages=cache_pages,
-                             namespace=namespace, **kwargs)
-
-    _BoundRemoteDisk.__name__ = "RemoteDiskManager"
-    _BoundRetryingRemoteDisk.__name__ = "RetryingRemoteDiskManager"
-    return _BoundRemoteDisk, _BoundRetryingRemoteDisk
+    return functools.partial(RemoteDiskManager, store=store,
+                             cache_pages=cache_pages, namespace=namespace)

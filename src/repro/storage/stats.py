@@ -41,7 +41,7 @@ class IOStats:
     pages_allocated: int = 0
     cache_hits: int = 0
     #: Read attempts repeated after a transient fault (each retry is
-    #: also charged as a page read; see RetryingDiskManager).
+    #: also charged as a page read; see DiskManager.read).
     read_retries: int = 0
     #: Reads that failed page-checksum verification (CorruptPageError).
     checksum_failures: int = 0

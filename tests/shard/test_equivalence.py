@@ -1,7 +1,8 @@
 """Cross-shard equivalence matrix: sharding must never change an answer.
 
 The contract, pinned over the Fig. 8a workload for shards 1/2/4/8 ×
-{LinearScan, I-Hilbert, I-All} × {list, mmap}:
+{LinearScan, I-Hilbert, I-All} × {list, remote} (the sharded remote
+case puts every shard in one object store via ``remote_store=``):
 
 * **answers byte-identical** — the gathered candidate array (records
   and order) and the estimated area are bit-equal to the unsharded
@@ -33,16 +34,18 @@ from repro.core import (BatchQueryEngine, IAllIndex, IHilbertIndex,
                         LinearScanIndex, ValueQuery)
 from repro.core.batch import run_sequential
 from repro.shard import ShardedEngine
-from repro.storage import CorruptPageError, PAGE_HEADER_SIZE
+from repro.storage import (CorruptPageError, PAGE_HEADER_SIZE,
+                           SimulatedObjectStore)
 from repro.synth import roseburg_like
 from repro.synth.queries import value_query_workload
+
+from ..backends import BACKENDS, REMOTE_CACHE_PAGES, disk_backend
 
 METHODS = {
     "LinearScan": LinearScanIndex,
     "I-All": IAllIndex,
     "I-Hilbert": IHilbertIndex,
 }
-BACKENDS = ["list", "mmap"]
 SHARD_COUNTS = [1, 2, 4, 8]
 #: Fig. 8a query-interval fractions (subset keeps the matrix fast).
 QINTERVALS = [0.0, 0.04, 0.10]
@@ -60,6 +63,15 @@ def workload(field):
         queries.extend(
             value_query_workload(field.value_range, q, 3, seed=8))
     return queries
+
+
+def sharded(field, backend, **kwargs):
+    """A sharded engine on one backend id: local shards, or every shard
+    in one fresh object store."""
+    if backend == "remote":
+        kwargs.update(remote_store=SimulatedObjectStore(),
+                      remote_cache_pages=REMOTE_CACHE_PAGES)
+    return ShardedEngine(field, **kwargs)
 
 
 def run_queries(index, workload):
@@ -89,11 +101,12 @@ def baselines(field, workload):
     runs = {}
     for method, cls in METHODS.items():
         for backend in BACKENDS:
-            index = cls(field, cache_pages=0, disk_backend=backend)
+            index = cls(field, cache_pages=0,
+                        disk_backend=disk_backend(backend))
             runs[method, backend] = run_queries(index, workload)
             if method == "I-All":
-                one = ShardedEngine(field, n_shards=1, method=method,
-                                    cache_pages=0, disk_backend=backend)
+                one = sharded(field, backend, n_shards=1, method=method,
+                              cache_pages=0)
                 runs["I-All-1shard", backend] = run_queries(one, workload)
     return runs
 
@@ -103,8 +116,8 @@ def baselines(field, workload):
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
 def test_matrix_answers_and_page_reads(field, workload, baselines,
                                        n_shards, method, backend):
-    engine = ShardedEngine(field, n_shards=n_shards, method=method,
-                           cache_pages=0, disk_backend=backend)
+    engine = sharded(field, backend, n_shards=n_shards, method=method,
+                     cache_pages=0)
     got = run_queries(engine, workload)
     ref = baselines[method, backend]
     for i, ((rb, ra, rr), (gb, ga, gr)) in enumerate(zip(ref, got)):

@@ -11,7 +11,7 @@ import threading
 import pytest
 
 from repro.obs.metrics import REGISTRY
-from repro.storage import (BufferPool, MmapDiskManager, PoolCounters,
+from repro.storage import (BufferPool, DiskManager, PoolCounters,
                            TenantCounters)
 
 N_THREADS = 8
@@ -40,7 +40,7 @@ def _hammer(worker):
 
 
 def test_buffer_pool_hammer_keeps_exact_counters():
-    disk = MmapDiskManager(page_size=80)
+    disk = DiskManager(page_size=80)
     n_pages = 16
     disk.allocate_many(n_pages)
     for pid in range(n_pages):
@@ -65,7 +65,7 @@ def test_buffer_pool_hammer_keeps_exact_counters():
 
 
 def test_buffer_pool_hammer_with_evictions():
-    disk = MmapDiskManager(page_size=80)
+    disk = DiskManager(page_size=80)
     n_pages = 32
     disk.allocate_many(n_pages)
     for pid in range(n_pages):
@@ -92,7 +92,7 @@ def test_pool_counters_sum_is_componentwise():
 
 
 def _tenant_pool(n_pages=16, capacity=None, page_size=80):
-    disk = MmapDiskManager(page_size=page_size)
+    disk = DiskManager(page_size=page_size)
     disk.allocate_many(n_pages)
     for pid in range(n_pages):
         disk.write(pid, bytes([pid]) * 16)

@@ -25,6 +25,8 @@ from repro.obs.trace import NULL_TRACER, Tracer
 from repro.storage import CorruptPageError, FaultInjector, IOStats
 from repro.synth.queries import value_query_workload
 
+from .backends import BACKENDS, disk_backend
+
 METHODS = {
     "LinearScan": LinearScanIndex,
     "I-All": IAllIndex,
@@ -108,9 +110,9 @@ def test_matches_serial_engine_exactly(method, workers, smooth_dem):
 
 
 @pytest.mark.parametrize("workers", [1, 4])
-def test_mmap_backend_matches_serial(workers, smooth_dem):
+def test_remote_backend_matches_serial(workers, smooth_dem):
     queries = _workload(smooth_dem)
-    index = IHilbertIndex(smooth_dem, disk_backend="mmap")
+    index = IHilbertIndex(smooth_dem, disk_backend=disk_backend("remote"))
     serial = _serial_reference(index, queries)
 
     index.clear_caches()
@@ -310,10 +312,10 @@ def test_index_tracer_is_restored_after_the_batch(smooth_dem):
 # -- faults ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["list", "mmap"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_raise_mode_propagates_the_serial_error(backend, smooth_dem):
     queries = _workload(smooth_dem)
-    index = IHilbertIndex(smooth_dem, disk_backend=backend)
+    index = IHilbertIndex(smooth_dem, disk_backend=disk_backend(backend))
     pid = index.store.page_ids[1]
     index.data_disk._flip_bit(pid, byte_index=3, bit=2)
 
@@ -336,10 +338,10 @@ def test_raise_mode_propagates_the_serial_error(backend, smooth_dem):
     assert index.query(band).candidate_count >= 0
 
 
-@pytest.mark.parametrize("backend", ["list", "mmap"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_skip_mode_matches_serial_degradation(backend, smooth_dem):
     queries = _workload(smooth_dem)
-    index = IHilbertIndex(smooth_dem, disk_backend=backend)
+    index = IHilbertIndex(smooth_dem, disk_backend=disk_backend(backend))
     pid = index.store.page_ids[1]
     index.data_disk._flip_bit(pid, byte_index=3, bit=2)
 
@@ -371,7 +373,7 @@ def test_transient_faults_retry_identically(smooth_dem):
     def run(workers):
         index = IHilbertIndex(
             smooth_dem, retry_policy=RetryPolicy(max_attempts=5),
-            disk_backend="mmap")
+            disk_backend=disk_backend("remote"))
         injector = index.inject_faults(FaultInjector(seed=17))
         injector.add("read_error", max_faults=4)
         batch = BatchQueryEngine(index, workers=workers,

@@ -229,6 +229,10 @@ def test_store_frame_rejects_corrupted_payload():
     other.allocate()
     with pytest.raises(CorruptPageError):
         other.store_frame(0, bytes(frame))
+    # An unverified install defers detection to the next read.
+    other.store_frame(0, bytes(frame), verify=False)
+    with pytest.raises(CorruptPageError):
+        other.read(0)
 
 
 def test_store_frame_rejects_bad_magic():
@@ -261,6 +265,7 @@ def test_verify_page_is_unaccounted():
     disk._flip_bit(pid, 0, 0)
     assert not disk.verify_page(pid)
     assert disk.stats.page_reads == reads_before
+    assert disk.stats.checksum_failures == 0
 
 
 def test_custom_page_size():

@@ -7,10 +7,10 @@ exact answer or raises a typed error (`TransientIOError`,
 answer that reports every skipped page.  All fault schedules are driven
 by one seeded RNG, so every test here is exactly reproducible.
 
-Everything is parametrized over both storage backends: the per-page
-``list`` backend and the zero-copy ``mmap`` backend with lazy batch
-checksum verification must be indistinguishable under every fault kind
-— same typed errors, same counters, same degraded answers.
+Everything is parametrized over both page-file backends: the in-memory
+``list`` backend (:class:`~repro.storage.disk.DiskManager`) and the
+``remote`` object-store tier must be indistinguishable under every
+fault kind — same typed errors, same counters, same degraded answers.
 """
 
 import pytest
@@ -19,6 +19,7 @@ from repro.core import (
     BatchQueryEngine,
     IAllIndex,
     IHilbertIndex,
+    ITreeIndex,
     LinearScanIndex,
     PlannedIndex,
     ValueQuery,
@@ -26,16 +27,14 @@ from repro.core import (
 from repro.obs.metrics import REGISTRY
 from repro.storage import (
     CorruptPageError,
-    DiskManager,
     FaultInjector,
     FaultSpec,
-    MmapDiskManager,
     PageFault,
-    RetryingDiskManager,
-    RetryingMmapDiskManager,
     RetryPolicy,
     TransientIOError,
 )
+
+from .backends import BACKENDS, disk_backend
 
 METHODS = {
     "LinearScan": LinearScanIndex,
@@ -44,10 +43,6 @@ METHODS = {
     "I-Hilbert+planner": PlannedIndex,
 }
 
-BACKENDS = ["list", "mmap"]
-DISK_CLASSES = {"list": DiskManager, "mmap": MmapDiskManager}
-RETRYING_CLASSES = {"list": RetryingDiskManager,
-                    "mmap": RetryingMmapDiskManager}
 
 
 def _workloads(field) -> list[ValueQuery]:
@@ -75,7 +70,7 @@ def test_fault_spec_rejects_bad_probability():
 
 
 def _one_page_disk(payload=b"stored payload", backend="list"):
-    disk = DISK_CLASSES[backend](page_size=80)
+    disk = disk_backend(backend)(page_size=80)
     pid = disk.allocate()
     disk.write(pid, payload)
     return disk, pid
@@ -98,7 +93,7 @@ def test_schedule_fires_at_exact_operations(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_page_targeting_limits_blast_radius(backend):
-    disk = DISK_CLASSES[backend](page_size=80)
+    disk = disk_backend(backend)(page_size=80)
     a, b = disk.allocate(), disk.allocate()
     disk.write(a, b"page a")
     disk.write(b, b"page b")
@@ -170,7 +165,7 @@ def test_torn_write_detected_on_next_read(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_disk_level_fault_sequence_is_seed_deterministic(backend):
     def run(seed):
-        disk = DISK_CLASSES[backend](page_size=80)
+        disk = disk_backend(backend)(page_size=80)
         for i in range(8):
             disk.write(disk.allocate(), bytes([i]) * 10)
         injector = FaultInjector(seed=seed)
@@ -210,7 +205,7 @@ def test_retry_policy_rejects_zero_attempts():
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_retries_cure_transient_faults(backend):
-    disk = RETRYING_CLASSES[backend](
+    disk = disk_backend(backend)(
         page_size=80, retry_policy=RetryPolicy(max_attempts=4))
     pid = disk.allocate()
     disk.write(pid, b"survives")
@@ -225,7 +220,7 @@ def test_retries_cure_transient_faults(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_retry_exhaustion_raises_typed_error(backend):
-    disk = RETRYING_CLASSES[backend](
+    disk = disk_backend(backend)(
         page_size=80, retry_policy=RetryPolicy(max_attempts=3))
     pid = disk.allocate()
     disk.fault_injector = FaultInjector(seed=0)
@@ -237,7 +232,7 @@ def test_retry_exhaustion_raises_typed_error(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_corruption_is_never_retried(backend):
-    disk = RETRYING_CLASSES[backend](
+    disk = disk_backend(backend)(
         page_size=80, retry_policy=RetryPolicy(max_attempts=4))
     pid = disk.allocate()
     disk.write(pid, b"rotten")
@@ -258,14 +253,16 @@ def test_corruption_is_never_retried(backend):
 def test_matrix_exact_answer_or_typed_error(method, kind, backend,
                                             smooth_dem):
     """Under random faults every query is exactly right or typed-fails."""
-    clean = METHODS[method](smooth_dem, disk_backend=backend)
+    clean = METHODS[method](smooth_dem,
+                            disk_backend=disk_backend(backend))
     queries = _workloads(smooth_dem)
     expected = []
     for q in queries:
         clean.clear_caches()
         expected.append(clean.query(q).candidate_count)
 
-    faulty = METHODS[method](smooth_dem, disk_backend=backend)
+    faulty = METHODS[method](smooth_dem,
+                             disk_backend=disk_backend(backend))
     injector = faulty.inject_faults(FaultInjector(seed=11))
     injector.add(kind, probability=0.25)
     outcomes = []
@@ -292,7 +289,7 @@ def test_matrix_retry_policy_recovers_exact_answers(method, backend,
     clean = METHODS[method](smooth_dem)
     policy = RetryPolicy(max_attempts=5, backoff_base_ms=0.5)
     faulty = METHODS[method](smooth_dem, retry_policy=policy,
-                             disk_backend=backend)
+                             disk_backend=disk_backend(backend))
     injector = faulty.inject_faults(FaultInjector(seed=3))
     injector.add("read_error", max_faults=3)
     for q in _workloads(smooth_dem):
@@ -307,7 +304,8 @@ def test_matrix_retry_policy_recovers_exact_answers(method, backend,
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_matrix_fault_sequence_is_seed_deterministic(backend, smooth_dem):
     def run(seed):
-        index = IHilbertIndex(smooth_dem, disk_backend=backend)
+        index = IHilbertIndex(smooth_dem,
+                              disk_backend=disk_backend(backend))
         injector = index.inject_faults(FaultInjector(seed=seed))
         injector.add("read_error", probability=0.5)
         outcomes = []
@@ -328,7 +326,8 @@ def test_matrix_fault_sequence_is_seed_deterministic(backend, smooth_dem):
 def test_backends_agree_on_fault_outcomes(smooth_dem):
     """Same seed, same schedule: both backends fail identically."""
     def run(backend):
-        index = IHilbertIndex(smooth_dem, disk_backend=backend)
+        index = IHilbertIndex(smooth_dem,
+                              disk_backend=disk_backend(backend))
         injector = index.inject_faults(FaultInjector(seed=21))
         injector.add("read_error", probability=0.5)
         outcomes = []
@@ -341,7 +340,7 @@ def test_backends_agree_on_fault_outcomes(smooth_dem):
         return outcomes, [(e.kind, e.page_id, e.op_index)
                           for e in injector.events]
 
-    assert run("list") == run("mmap")
+    assert run("list") == run("remote")
 
 
 # -- graceful degradation (on_fault="skip") ----------------------------------
@@ -349,7 +348,7 @@ def test_backends_agree_on_fault_outcomes(smooth_dem):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_skip_mode_is_an_explicit_lower_bound(backend, smooth_dem):
-    index = LinearScanIndex(smooth_dem, disk_backend=backend)
+    index = LinearScanIndex(smooth_dem, disk_backend=disk_backend(backend))
     vr = smooth_dem.value_range
     q = ValueQuery(vr.lo, vr.hi)
     total = index.query(q).candidate_count
@@ -378,12 +377,19 @@ def test_clean_query_is_never_marked_degraded(smooth_dem):
     assert result.faults == []
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("method", ["I-All", "I-Hilbert",
-                                    "I-Hilbert+planner"])
+@pytest.mark.parametrize(
+    "method, backend",
+    [(m, b) for b in BACKENDS
+     for m in ("I-All", "I-Hilbert", "I-Hilbert+planner")]
+    # I-Tree has no disk_backend option: it always runs on the list.
+    + [("I-Tree", "list")])
 def test_skip_mode_indexed_methods_report_the_page(method, backend,
                                                    smooth_dem):
-    index = METHODS[method](smooth_dem, disk_backend=backend)
+    if method == "I-Tree":
+        index = ITreeIndex(smooth_dem)
+    else:
+        index = METHODS[method](smooth_dem,
+                                disk_backend=disk_backend(backend))
     q = _workloads(smooth_dem)[0]
     clean_count = index.query(q).candidate_count
     pid = index.store.page_ids[1]
@@ -401,7 +407,8 @@ def test_skip_mode_indexed_methods_report_the_page(method, backend,
 def test_index_page_faults_always_raise(method, backend, smooth_dem):
     # A damaged tree cannot bound what it missed, so skip mode still
     # raises for index-file pages.
-    index = METHODS[method](smooth_dem, disk_backend=backend)
+    index = METHODS[method](smooth_dem,
+                            disk_backend=disk_backend(backend))
     index.index_disk._flip_bit(index.tree._root_id, byte_index=0, bit=0)
     index.clear_caches()
     with pytest.raises(CorruptPageError):
@@ -416,7 +423,7 @@ def test_query_rejects_unknown_fault_mode(smooth_dem):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_fault_mode_is_reset_after_a_degraded_query(backend, smooth_dem):
-    index = LinearScanIndex(smooth_dem, disk_backend=backend)
+    index = LinearScanIndex(smooth_dem, disk_backend=disk_backend(backend))
     pid = index.store.page_ids[0]
     index.data_disk._flip_bit(pid, byte_index=1, bit=1)
     q = _workloads(smooth_dem)[0]
@@ -433,7 +440,7 @@ def test_fault_mode_is_reset_after_a_degraded_query(backend, smooth_dem):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_batch_skip_attaches_faults_to_the_fetching_member(backend,
                                                            smooth_dem):
-    index = IHilbertIndex(smooth_dem, disk_backend=backend)
+    index = IHilbertIndex(smooth_dem, disk_backend=disk_backend(backend))
     vr = smooth_dem.value_range
     pid = index.store.page_ids[1]
     index.data_disk._flip_bit(pid, byte_index=3, bit=2)
@@ -453,7 +460,7 @@ def test_batch_skip_attaches_faults_to_the_fetching_member(backend,
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_batch_default_mode_raises(backend, smooth_dem):
-    index = IHilbertIndex(smooth_dem, disk_backend=backend)
+    index = IHilbertIndex(smooth_dem, disk_backend=disk_backend(backend))
     pid = index.store.page_ids[1]
     index.data_disk._flip_bit(pid, byte_index=3, bit=2)
     index.clear_caches()
@@ -483,7 +490,8 @@ def test_batch_fault_outcomes_do_not_depend_on_workers(method, backend,
                             (0.55, 0.7), (0.9, 1.0))]
 
     def run(workers, on_fault):
-        index = METHODS[method](smooth_dem, disk_backend=backend)
+        index = METHODS[method](smooth_dem,
+                                disk_backend=disk_backend(backend))
         index.data_disk._flip_bit(index.store.page_ids[1], byte_index=3,
                                   bit=2)
         engine = BatchQueryEngine(index, workers=workers, cache_pages=0)
@@ -512,7 +520,7 @@ def test_fault_counters_reach_the_registry(backend, smooth_dem):
     try:
         index = LinearScanIndex(smooth_dem,
                                 retry_policy=RetryPolicy(max_attempts=4),
-                                disk_backend=backend)
+                                disk_backend=disk_backend(backend))
         injector = index.inject_faults(FaultInjector(seed=0))
         injector.add("read_error", max_faults=2)
         pid = index.store.page_ids[0]
@@ -543,8 +551,8 @@ def test_fault_counters_reach_the_registry(backend, smooth_dem):
 from repro.core.query import ValueQuery as _VQ  # noqa: E402
 from repro.shard import ShardedEngine  # noqa: E402
 from repro.storage import (  # noqa: E402
+    RemoteDiskManager,
     RemoteFetchError,
-    RetryingRemoteDiskManager,
     SimulatedObjectStore,
     remote_backend,
 )
@@ -552,7 +560,7 @@ from repro.storage import (  # noqa: E402
 
 def _remote_disk(**kwargs):
     store = SimulatedObjectStore()
-    disk = RetryingRemoteDiskManager(
+    disk = RemoteDiskManager(
         page_size=80, store=store, cache_pages=0, **kwargs)
     pid = disk.allocate()
     disk.write(pid, b"cold bytes")
@@ -593,10 +601,24 @@ def test_remote_permanent_corruption_is_typed_and_never_retried():
     assert disk.stats.read_retries == 0
 
 
+def test_remote_bit_flip_on_an_unwritten_page_is_a_typed_error():
+    # An allocated page that was never written has no stored frame and,
+    # with no local cache, no cached entry either; bit rot injected
+    # there must still surface as a checksum failure.
+    disk = RemoteDiskManager(page_size=80, store=SimulatedObjectStore(),
+                             cache_pages=0)
+    pid = disk.allocate()
+    disk.fault_injector = FaultInjector(seed=0)
+    disk.fault_injector.add("bit_flip", max_faults=1)
+    with pytest.raises(CorruptPageError):
+        disk.read(pid)
+    assert disk.stats.checksum_failures == 1
+
+
 def test_remote_backend_answers_match_local_backend(smooth_dem):
     """An index whose pages live in the object store answers exactly
     like one on local storage, under a transient-fault schedule."""
-    plain = IHilbertIndex(smooth_dem, disk_backend="list")
+    plain = IHilbertIndex(smooth_dem)
     store = SimulatedObjectStore()
     remote = IHilbertIndex(
         smooth_dem, retry_policy=RetryPolicy(max_attempts=5),

@@ -4,7 +4,7 @@ The paper never updates a field; DESIGN.md §9 defines our semantics —
 ``apply_updates`` replaces vertex values with absolute heights and every
 access method must afterwards answer exactly like an index built from
 scratch over the updated field.  This suite pins that contract (random
-update streams, list and mmap backends), the three satellite fixes
+update streams, list and remote backends), the three satellite fixes
 (buffer-pool blast radius, maintenance I/O attribution, planner
 statistics freshness), the §3.1.2 cost-drift staleness metric with
 ``compact()``, and fault injection on updated pages.
@@ -34,13 +34,14 @@ from repro.storage import (
 )
 from repro.synth import fractal_dem_heights
 
+from .backends import BACKENDS, disk_backend
+
 METHODS = {
     "LinearScan": LinearScanIndex,
     "I-All": IAllIndex,
     "I-Hilbert": IHilbertIndex,
     "IH+planner": PlannedIndex,
 }
-BACKENDS = ["list", "mmap"]
 
 
 def small_dem(seed=11, size=16):
@@ -143,7 +144,7 @@ def test_update_stream_equals_fresh_rebuild(method, backend):
     """After any update stream, answers equal a from-scratch rebuild."""
     rng = np.random.default_rng(101)
     field = small_dem(seed=7)
-    index = METHODS[method](field, disk_backend=backend)
+    index = METHODS[method](field, disk_backend=disk_backend(backend))
     vr = field.value_range
 
     for _ in range(4):                       # four batches of updates
@@ -155,7 +156,7 @@ def test_update_stream_equals_fresh_rebuild(method, backend):
         assert len(dirty) > 0
 
     fresh = METHODS[method](DEMField(field.heights.copy()),
-                            disk_backend=backend)
+                            disk_backend=disk_backend(backend))
     queries = probe_queries(field, seed=5)
     assert answers(index, queries) == answers(fresh, queries)
 
@@ -374,7 +375,7 @@ def test_compact_charges_maintenance_not_query_stats():
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_bit_flip_on_updated_page_is_detected(backend):
-    index = IHilbertIndex(small_dem(), disk_backend=backend)
+    index = IHilbertIndex(small_dem(), disk_backend=disk_backend(backend))
     index.apply_updates([0], [999.0])
     # Damage the page holding the updated record.
     rid = 0 if index.name == "LinearScan" else None
@@ -390,7 +391,7 @@ def test_bit_flip_on_updated_page_is_detected(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_skip_mode_degrades_gracefully_after_updates(backend):
-    index = IHilbertIndex(small_dem(), disk_backend=backend)
+    index = IHilbertIndex(small_dem(), disk_backend=disk_backend(backend))
     index.apply_updates([5], [999.0])
     page_id = index.store.page_ids[0]
     index.data_disk._flip_bit(page_id, byte_index=3, bit=2)
@@ -404,7 +405,7 @@ def test_skip_mode_degrades_gracefully_after_updates(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_retry_policy_cures_transient_faults_during_update(backend):
     index = IHilbertIndex(
-        small_dem(), disk_backend=backend,
+        small_dem(), disk_backend=disk_backend(backend),
         retry_policy=RetryPolicy(max_attempts=4))
     injector = index.inject_faults(FaultInjector(seed=3))
     injector.add("read_error", probability=0.2, max_faults=3)

@@ -3,7 +3,7 @@
 Every access method answers a value query by fetching candidate pages
 and applying the float64 interval filter.  Two properties pin that path
 across the full matrix of {DEM, TIN} fields × {LinearScan, I-All,
-I-Hilbert, I-Hilbert+planner} × {list, mmap} disk backends:
+I-Hilbert, I-Hilbert+planner} × {list, remote} disk backends:
 
 * candidates (records and order) and answer areas equal the brute-force
   oracle of :mod:`tests.oracle` bit for bit;
@@ -37,6 +37,7 @@ from repro.storage import FaultInjector
 from repro.storage.codec import decode_pages, decode_records
 from repro.synth import fractal_dem_heights, lyon_like
 
+from .backends import BACKENDS, disk_backend
 from .oracle import oracle_answer
 
 METHODS = {
@@ -92,11 +93,12 @@ def field(request):
 
 
 @pytest.mark.parametrize("method", sorted(METHODS))
-@pytest.mark.parametrize("backend", ["list", "mmap"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_matches_oracle(field, method, backend):
     """Candidates and areas equal the brute-force oracle bit for bit,
     on the batched and on the per-page fetch."""
-    for index in index_pair(method, field, disk_backend=backend):
+    for index in index_pair(method, field,
+                            disk_backend=disk_backend(backend)):
         for query in queries_for(field):
             want, want_area = oracle_answer(index, query)
             got = index._candidates(query.lo, query.hi)
@@ -109,10 +111,10 @@ def test_matches_oracle(field, method, backend):
 
 
 @pytest.mark.parametrize("method", sorted(METHODS))
-@pytest.mark.parametrize("backend", ["list", "mmap"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_vectorized_equals_scalar(field, method, backend):
     """Cold: the batched fetch matches the per-page fetch exactly."""
-    vec, scl = index_pair(method, field, disk_backend=backend)
+    vec, scl = index_pair(method, field, disk_backend=disk_backend(backend))
     for query in queries_for(field):
         for index in (vec, scl):
             index.clear_caches()
