@@ -54,31 +54,20 @@ def main(argv: list[str] | None = None) -> int:
         else [args.experiment]
     if args.full and args.small:
         parser.error("--full and --small are mutually exclusive")
+    # Every runner takes the options it knows and ignores the rest.
+    options = dict(seed=args.seed, estimate=args.estimate, smoke=args.smoke)
+    if args.queries is not None:
+        options["queries"] = args.queries
+    if args.warm:
+        options["warm"] = True
+    if args.full or args.small:
+        options["full"] = args.full
+    if args.workers:
+        options["workers"] = tuple(int(w) for w in args.workers.split(","))
+    if args.updates is not None:
+        options["updates"] = args.updates
     for name in names:
-        runner = EXPERIMENTS[name]
-        options = dict(seed=args.seed, estimate=args.estimate)
-        if args.queries is not None:
-            options["queries"] = args.queries
-        if args.warm:
-            options["warm"] = True
-        if args.full:
-            options["full"] = True
-        elif args.small:
-            options["full"] = False
-        if name == "throughput":
-            if args.workers:
-                options["workers"] = tuple(
-                    int(w) for w in args.workers.split(","))
-            if args.smoke:
-                options["smoke"] = True
-        if name == "update":
-            if args.smoke:
-                options["smoke"] = True
-            if args.updates is not None:
-                options["updates"] = args.updates
-        if name in ("serve", "shard", "micro", "aggregate") and args.smoke:
-            options["smoke"] = True
-        result = runner(**options)
+        result = EXPERIMENTS[name](**options)
         print(_render(result))
         print()
     return 0

@@ -8,7 +8,13 @@ runners for the command-line front end.  Sizes default to laptop-scale
 
 from __future__ import annotations
 
+import json
+import statistics
+import tempfile
+import threading
+import time
 from collections.abc import Callable
+from pathlib import Path
 
 import numpy as np
 
@@ -28,8 +34,19 @@ from ..synth import (
     lyon_like,
     monotonic_field,
     roseburg_like,
+    value_query_workload,
 )
 from .harness import ExperimentResult, run_experiment
+from .records import (COMPACT_RECOVERY_LIMIT, AdmissionWait, Aggregate,
+                     AggregateConfig, AggregateGate, AggregateWorkload,
+                     BulkIngest, Compaction, DeviceCosts, Equivalence,
+                     FieldInfo, IncrementalIngest, Ingest, Kernel, Latency,
+                     MethodSweep, Micro, MicroGate, ModelInfo, Observability,
+                     Pipeline, PipelinePoint, PoolShare, QueryWorkload,
+                     RemoteTraffic, SameFieldIngest, ScaledDeviceCosts, Serve,
+                     ServeTotals, ServerInfo, Shard, ShardPoint, Staleness,
+                     TenantRun, Throughput, ThroughputPoint, Update,
+                     UpdateField, UpdateFinal, UpdateStep, UpdateStream, load)
 from .report import format_result
 
 #: Qinterval axes used in the paper's figures.
@@ -69,7 +86,8 @@ def _regime(warm: bool) -> dict:
 
 
 def fig8a(full: bool = True, queries: int = 200, seed: int = 0,
-          estimate: str = "area", warm: bool = False) -> ExperimentResult:
+          estimate: str = "area", warm: bool = False,
+          **_ignored) -> ExperimentResult:
     """Fig. 8a — real terrain DEM (Roseburg surrogate, 512×512)."""
     size = 512 if full else 128
     field = roseburg_like(cells_per_side=size)
@@ -82,7 +100,8 @@ def fig8a(full: bool = True, queries: int = 200, seed: int = 0,
 
 
 def fig8b(full: bool = True, queries: int = 200, seed: int = 0,
-          estimate: str = "area", warm: bool = False) -> ExperimentResult:
+          estimate: str = "area", warm: bool = False,
+          **_ignored) -> ExperimentResult:
     """Fig. 8b — urban noise TIN (Lyon surrogate, ~9000 triangles)."""
     sites = 4600 if full else 1200
     field = lyon_like(num_sites=sites)
@@ -97,7 +116,7 @@ def fig8b(full: bool = True, queries: int = 200, seed: int = 0,
 def fig11(full: bool = False, queries: int = 200, seed: int = 0,
           estimate: str = "area", warm: bool = False,
           roughness_values: tuple[float, ...] = (0.1, 0.3, 0.6, 0.9),
-          ) -> list[ExperimentResult]:
+          **_ignored) -> list[ExperimentResult]:
     """Fig. 11a–d — fractal DEMs across roughness H.
 
     The paper uses 1,048,576 cells (1024²); the default here is 262,144
@@ -118,7 +137,8 @@ def fig11(full: bool = False, queries: int = 200, seed: int = 0,
 
 
 def fig12(full: bool = True, queries: int = 200, seed: int = 0,
-          estimate: str = "area", warm: bool = False) -> ExperimentResult:
+          estimate: str = "area", warm: bool = False,
+          **_ignored) -> ExperimentResult:
     """Fig. 12b — monotonic field ``w = x + y`` (512×512)."""
     size = 512 if full else 128
     field = monotonic_field(size)
@@ -347,12 +367,18 @@ def batch_compare(full: bool = False, queries: int = 200, seed: int = 0,
     return "\n".join(lines)
 
 
+def _fig8a_queries(field, per_q: int, seed: int) -> list:
+    """The Fig. 8a query mix on ``field``: ``per_q`` random queries per
+    Qinterval setting of :data:`QINTERVALS_FIG8`, drawn with ``seed``."""
+    return [query for q in QINTERVALS_FIG8
+            for query in value_query_workload(field.value_range, q,
+                                              count=per_q, seed=seed)]
+
+
 def throughput(full: bool = False, queries: int | None = None,
                seed: int = 0, estimate: str = "area",
                workers: tuple[int, ...] = (1, 2, 4, 8),
-               smoke: bool = False,
-               json_path: str | None = "BENCH_throughput.json",
-               **_ignored) -> str:
+               smoke: bool = False, **_ignored) -> str:
     """Queries/sec vs worker count on the Fig. 8a workload.
 
     Runs the Fig. 8a query mix against LinearScan, I-All and I-Hilbert
@@ -367,8 +393,10 @@ def throughput(full: bool = False, queries: int | None = None,
     executions.
 
     ``smoke=True`` shrinks everything (64² field, 24 queries, workers 1
-    and 4, no JSON artifact) and exits non-zero if workers=4 fails to
-    beat workers=1 — the CI regression gate.
+    and 4, no JSON artifact).  Either way the run exits non-zero if the
+    last worker count fails to beat the first (the CI regression gate)
+    or if its :class:`~repro.bench.records.Throughput` record has any
+    other problem.
 
     Each method is swept twice.  The *legacy* sweep (``merge=False``,
     no cache) reproduces the PR-8 baseline configuration so q/s stays
@@ -382,32 +410,19 @@ def throughput(full: bool = False, queries: int | None = None,
     answers, per-query I/O, and total I/O accounting), so the speedup
     it reports is a speedup on a provably equivalent execution.
     """
-    import json as json_mod
-    import time
-
     from ..core import BatchQueryEngine, DeviceModel
     from ..core.batch import DEFAULT_BATCH_CACHE_PAGES
     from ..storage import FaultInjector, IOStats
-    from ..synth import value_query_workload
 
     if smoke:
         size, per_q, worker_counts = 64, 4, (1, 4)
-        json_path = None
     else:
         size = 512 if full else 256
         per_q = 20 if queries is None else queries
         worker_counts = tuple(workers)
     field = roseburg_like(cells_per_side=size)
-    workload = []
-    for q in QINTERVALS_FIG8:
-        workload += value_query_workload(field.value_range, q,
-                                         count=per_q, seed=seed)
+    workload = _fig8a_queries(field, per_q, seed)
     device = DeviceModel()
-    factories = {
-        "LinearScan": LinearScanIndex,
-        "I-All": IAllIndex,
-        "I-Hilbert": IHilbertIndex,
-    }
 
     lines = [
         f"== throughput: batch engine workers on Fig. 8a workload "
@@ -421,9 +436,29 @@ def throughput(full: bool = False, queries: int | None = None,
         f"{'method':>12} {'workers':>8} {'wall s':>8} {'q/s':>8} "
         f"{'speedup':>8} {'pages':>9} {'random':>8} {'seq':>9}",
     ]
-    payload_methods = []
-    regressions = []
-    for name, factory in factories.items():
+
+    def sweep(index, name, reference, cache_pages, merge):
+        """(workers, wall s, q/s, I/O) at each worker count; every run's
+        answers and I/O are asserted equal to ``reference``'s."""
+        for n_workers in worker_counts:
+            index.clear_caches()
+            index.stats.reset()
+            engine = BatchQueryEngine(index, workers=n_workers,
+                                      cache_pages=cache_pages, merge=merge,
+                                      device=device)
+            t0 = time.perf_counter()
+            par = engine.run(workload, estimate=estimate)
+            wall = time.perf_counter() - t0
+            for r_ref, r_par in zip(reference.results, par.results):
+                assert r_ref.candidate_count == r_par.candidate_count, name
+                assert r_ref.area == r_par.area, name
+                assert r_ref.io == r_par.io, name
+            assert reference.io == par.io, name
+            assert sum(par.worker_io, IOStats()) == par.io, name
+            yield n_workers, wall, len(workload) / wall, par.io
+
+    methods = []
+    for name, factory in standard_methods().items():
         t0 = time.perf_counter()
         index = factory(field)
         build_seconds = time.perf_counter() - t0
@@ -433,50 +468,20 @@ def throughput(full: bool = False, queries: int | None = None,
         index.stats.reset()
         serial = BatchQueryEngine(index, cache_pages=0, merge=False).run(
             workload, estimate=estimate)
-        entry = {
-            "method": name,
-            "build_seconds": round(build_seconds, 3),
-            "data_pages": index.data_pages,
-            "index_pages": index.index_pages,
-            "serial_page_reads": serial.io.page_reads,
-            "points": [],
-        }
         qps_by_workers = {}
-        for n_workers in worker_counts:
-            index.clear_caches()
-            index.stats.reset()
-            engine = BatchQueryEngine(index, workers=n_workers,
-                                      cache_pages=0, merge=False,
-                                      device=device)
-            t0 = time.perf_counter()
-            par = engine.run(workload, estimate=estimate)
-            wall = time.perf_counter() - t0
-            for r_ser, r_par in zip(serial.results, par.results):
-                assert r_ser.candidate_count == r_par.candidate_count, name
-                assert r_ser.area == r_par.area, name
-                assert r_ser.io == r_par.io, name
-            assert serial.io == par.io, name
-            assert sum(par.worker_io, IOStats()) == par.io, name
-            qps = len(workload) / wall
+        points = []
+        for n_workers, wall, qps, io in sweep(index, name, serial, 0, False):
             qps_by_workers[n_workers] = qps
             speedup = qps / qps_by_workers[worker_counts[0]]
             lines.append(
                 f"{name:>12} {n_workers:>8} {wall:>8.2f} {qps:>8.1f} "
-                f"{speedup:>7.2f}x {par.io.page_reads:>9} "
-                f"{par.io.random_reads:>8} {par.io.sequential_reads:>9}")
-            entry["points"].append({
-                "workers": n_workers,
-                "wall_s": round(wall, 4),
-                "qps": round(qps, 2),
-                "speedup_vs_1": round(speedup, 3),
-                "page_reads": par.io.page_reads,
-                "random_reads": par.io.random_reads,
-                "sequential_reads": par.io.sequential_reads,
-            })
-        if (len(worker_counts) > 1
-                and qps_by_workers[worker_counts[-1]]
-                < qps_by_workers[worker_counts[0]]):
-            regressions.append(name)
+                f"{speedup:>7.2f}x {io.page_reads:>9} "
+                f"{io.random_reads:>8} {io.sequential_reads:>9}")
+            points.append(ThroughputPoint(
+                workers=n_workers, wall_s=round(wall, 4), qps=round(qps, 2),
+                speedup_vs_1=round(speedup, 3), page_reads=io.page_reads,
+                random_reads=io.random_reads,
+                sequential_reads=io.sequential_reads))
         # Pipeline sweep: merged groups + shared pool + batched page
         # runs, checked byte-for-byte against a one-worker run on the
         # per-page fetch path (an attached injector forces it).
@@ -488,46 +493,27 @@ def throughput(full: bool = False, queries: int | None = None,
                                   merge=True).run(workload,
                                                   estimate=estimate)
         index.inject_faults(None)
-        entry["pipeline"] = {
-            "cache_pages": cache,
-            "merge": True,
-            "perpage_oracle_page_reads": oracle.io.page_reads,
-            "points": [],
-        }
-        for n_workers in worker_counts:
-            index.clear_caches()
-            index.stats.reset()
-            engine = BatchQueryEngine(index, workers=n_workers,
-                                      cache_pages=cache, merge=True,
-                                      device=device)
-            t0 = time.perf_counter()
-            par = engine.run(workload, estimate=estimate)
-            wall = time.perf_counter() - t0
-            for r_ora, r_par in zip(oracle.results, par.results):
-                assert r_ora.candidate_count == r_par.candidate_count, name
-                assert r_ora.area == r_par.area, name
-                assert r_ora.io == r_par.io, name
-            assert oracle.io == par.io, name
-            qps = len(workload) / wall
+        pipeline = []
+        for n_workers, wall, qps, io in sweep(index, name, oracle, cache,
+                                              True):
             vs_legacy = qps / qps_by_workers[n_workers]
             lines.append(
                 f"{name + '+pipe':>12} {n_workers:>8} {wall:>8.2f} "
                 f"{qps:>8.1f} {vs_legacy:>7.2f}x "
-                f"{par.io.page_reads:>9} {par.io.random_reads:>8} "
-                f"{par.io.sequential_reads:>9}")
-            entry["pipeline"]["points"].append({
-                "workers": n_workers,
-                "wall_s": round(wall, 4),
-                "qps": round(qps, 2),
-                "speedup_vs_legacy": round(vs_legacy, 3),
-                "page_reads": par.io.page_reads,
-                "random_reads": par.io.random_reads,
-                "sequential_reads": par.io.sequential_reads,
-            })
-            if (n_workers == worker_counts[-1]
-                    and qps < qps_by_workers[n_workers]):
-                regressions.append(f"{name}+pipeline")
-        payload_methods.append(entry)
+                f"{io.page_reads:>9} {io.random_reads:>8} "
+                f"{io.sequential_reads:>9}")
+            pipeline.append(PipelinePoint(
+                workers=n_workers, wall_s=round(wall, 4), qps=round(qps, 2),
+                speedup_vs_legacy=round(vs_legacy, 3),
+                page_reads=io.page_reads, random_reads=io.random_reads,
+                sequential_reads=io.sequential_reads))
+        methods.append(MethodSweep(
+            method=name, build_seconds=round(build_seconds, 3),
+            data_pages=index.data_pages, index_pages=index.index_pages,
+            serial_page_reads=serial.io.page_reads, points=points,
+            pipeline=Pipeline(cache_pages=cache, merge=True,
+                              perpage_oracle_page_reads=oracle.io.page_reads,
+                              points=pipeline)))
         del index
     lines += [
         "",
@@ -537,45 +523,19 @@ def throughput(full: bool = False, queries: int | None = None,
         "byte-identical to a one-worker per-page-fetch oracle, speedup "
         "column relative to the legacy row at the same worker count)",
     ]
-    if json_path:
-        payload = {
-            "schema_version": 1,
-            "experiment": "throughput",
-            "field": {
-                "type": type(field).__name__,
-                "cells_per_side": size,
-                "cells": field.num_cells,
-            },
-            "workload": {
-                "queries": len(workload),
-                "per_qinterval": per_q,
-                "qintervals": QINTERVALS_FIG8,
-                "seed": seed,
-                "estimate": estimate,
-            },
-            "device_model": {
-                "random_read_ms": device.random_read_ms,
-                "sequential_read_ms": device.sequential_read_ms,
-                "scale": device.scale,
-            },
-            "smoke": smoke,
-            "workers": list(worker_counts),
-            "methods": payload_methods,
-        }
-        with open(json_path, "w") as fh:
-            json_mod.dump(payload, fh, indent=1)
-            fh.write("\n")
-        lines.append(f"(machine-readable results written to {json_path})")
-    if regressions:
-        raise SystemExit(
-            f"throughput regression: workers={worker_counts[-1]} slower "
-            f"than workers={worker_counts[0]} for {', '.join(regressions)}")
-    return "\n".join(lines)
+    return Throughput(
+        field=FieldInfo(type(field).__name__, size, field.num_cells),
+        workload=QueryWorkload(len(workload), per_q, QINTERVALS_FIG8, seed,
+                               estimate),
+        device_model=ScaledDeviceCosts(device.random_read_ms,
+                                       device.sequential_read_ms,
+                                       device.scale),
+        smoke=smoke, workers=list(worker_counts), methods=methods,
+    ).finish(lines)
 
 
 def micro(full: bool = False, seed: int = 0, smoke: bool = False,
-          json_path: str | None = "BENCH_micro.json",
-          gate_ratio: float = 1.5, **_ignored) -> str:
+          **_ignored) -> str:
     """Criterion-style microbenchmarks of the query hot path + ingestion.
 
     Times the five kernels the vectorized executor is built from —
@@ -588,18 +548,12 @@ def micro(full: bool = False, seed: int = 0, smoke: bool = False,
 
     ``smoke=True`` shrinks the ingest fields and measurement budget,
     writes no JSON, and instead *gates* against the committed
-    ``BENCH_micro.json``: any kernel whose best ns/op exceeds
-    ``gate_ratio`` (default 1.5×) of the pinned value fails the run —
+    ``BENCH_micro.json``: any kernel whose best ns/op exceeds that
+    file's ``gate.max_ratio`` times its pinned value fails the run —
     the CI regression gate.  Kernel input sizes are identical in both
     modes, so ns/op is comparable across them.
     """
-    import json as json_mod
-    import statistics
-    import time
-    from pathlib import Path
-
     from ..core import CostBasedGrouping, bulk_build, group_cells
-    from ..core.cost import ThresholdGrouping  # noqa: F401 (doc link)
     from ..curves import HilbertCurve2D
     from ..field.interpolation import triangle_band_fraction
     from ..geometry import Rect
@@ -610,7 +564,7 @@ def micro(full: bool = False, seed: int = 0, smoke: bool = False,
     rng = np.random.default_rng(seed)
     min_time = 0.05 if smoke else 0.25
 
-    def _rounds(fn, ops: int) -> dict:
+    def _rounds(fn, ops: int) -> Kernel:
         """Warm up once, then repeat until ``min_time`` of samples."""
         fn()
         times = []
@@ -623,14 +577,11 @@ def micro(full: bool = False, seed: int = 0, smoke: bool = False,
             total += dt
             if len(times) >= 500:
                 break
-        return {
-            "ops_per_round": ops,
-            "rounds": len(times),
-            "best_ns_per_op": round(min(times) / ops * 1e9, 2),
-            "median_ns_per_op": round(
-                statistics.median(times) / ops * 1e9, 2),
-            "total_s": round(total, 4),
-        }
+        return Kernel(
+            ops_per_round=ops, rounds=len(times),
+            best_ns_per_op=round(min(times) / ops * 1e9, 2),
+            median_ns_per_op=round(statistics.median(times) / ops * 1e9, 2),
+            total_s=round(total, 4))
 
     kernels = []
 
@@ -723,28 +674,23 @@ def micro(full: bool = False, seed: int = 0, smoke: bool = False,
     _, ih_bulk_rep = bulk_build(cmp_field, method="I-Hilbert")
     ih_inc_cps = cmp_field.num_cells / ih_inc_s
 
-    ingest = {
-        "bulk": dict(bulk_rep.to_dict(),
-                     cells_per_second=round(bulk_rep.cells_per_second),
-                     build_seconds=round(bulk_rep.build_seconds, 4)),
-        "incremental": {
-            "method": "I-All (per-insert R* path)",
-            "cells": inc_field.num_cells,
-            "build_seconds": round(inc_s, 4),
-            "cells_per_second": round(inc_cps, 1),
-            "note": "measured at small n; upper bound on 1M-cell rate",
-        },
-        "speedup_bulk_vs_incremental": round(
+    ingest = Ingest(
+        bulk=BulkIngest(**dict(
+            bulk_rep.to_dict(),
+            cells_per_second=round(bulk_rep.cells_per_second),
+            build_seconds=round(bulk_rep.build_seconds, 4))),
+        incremental=IncrementalIngest(
+            method="I-All (per-insert R* path)", cells=inc_field.num_cells,
+            build_seconds=round(inc_s, 4),
+            cells_per_second=round(inc_cps, 1),
+            note="measured at small n; upper bound on 1M-cell rate"),
+        speedup_bulk_vs_incremental=round(
             bulk_rep.cells_per_second / inc_cps, 1),
-        "ihilbert_same_field": {
-            "cells": cmp_field.num_cells,
-            "incremental_cells_per_second": round(ih_inc_cps),
-            "bulk_cells_per_second": round(
-                ih_bulk_rep.cells_per_second),
-            "speedup": round(
-                ih_bulk_rep.cells_per_second / ih_inc_cps, 2),
-        },
-    }
+        ihilbert_same_field=SameFieldIngest(
+            cells=cmp_field.num_cells,
+            incremental_cells_per_second=round(ih_inc_cps),
+            bulk_cells_per_second=round(ih_bulk_rep.cells_per_second),
+            speedup=round(ih_bulk_rep.cells_per_second / ih_inc_cps, 2)))
 
     lines = [
         "== micro: query hot path + ingestion kernels ==",
@@ -755,9 +701,9 @@ def micro(full: bool = False, seed: int = 0, smoke: bool = False,
     ]
     for name, stats in results.items():
         lines.append(
-            f"{name:>16} {stats['ops_per_round']:>10} "
-            f"{stats['rounds']:>7} {stats['best_ns_per_op']:>11.1f} "
-            f"{stats['median_ns_per_op']:>13.1f}")
+            f"{name:>16} {stats.ops_per_round:>10} "
+            f"{stats.rounds:>7} {stats.best_ns_per_op:>11.1f} "
+            f"{stats.median_ns_per_op:>13.1f}")
     lines += [
         "",
         f"bulk load   : {bulk_rep.cells:,} cells in "
@@ -765,64 +711,34 @@ def micro(full: bool = False, seed: int = 0, smoke: bool = False,
         f"{bulk_rep.cells_per_second:,.0f} cells/s (I-Hilbert)",
         f"incremental : {inc_field.num_cells:,} cells in {inc_s:.3f}s = "
         f"{inc_cps:,.0f} cells/s (I-All per-insert; upper bound)",
-        f"speedup     : {ingest['speedup_bulk_vs_incremental']:,.1f}x "
+        f"speedup     : {ingest.speedup_bulk_vs_incremental:,.1f}x "
         f"bulk vs per-insert",
         f"I-Hilbert   : bulk "
         f"{ih_bulk_rep.cells_per_second:,.0f} vs incremental "
         f"{ih_inc_cps:,.0f} cells/s on the same "
         f"{cmp_field.num_cells:,}-cell field "
-        f"({ingest['ihilbert_same_field']['speedup']:.2f}x)",
+        f"({ingest.ihilbert_same_field.speedup:.2f}x)",
     ]
 
-    if smoke:
-        baseline_path = Path(json_path or "BENCH_micro.json")
-        failures = []
-        if baseline_path.is_file():
-            with open(baseline_path) as fh:
-                baseline = json_mod.load(fh)
-            pinned = baseline.get("kernels", {})
-            for name, stats in results.items():
-                pin = pinned.get(name)
-                if pin is None:
-                    continue
-                ratio = stats["best_ns_per_op"] / pin["best_ns_per_op"]
-                mark = "FAIL" if ratio > gate_ratio else "ok"
-                lines.append(
-                    f"gate {name}: {ratio:.2f}x of pinned "
-                    f"{pin['best_ns_per_op']:.1f} ns/op "
-                    f"(limit {gate_ratio}x) — {mark}")
-                if ratio > gate_ratio:
-                    failures.append(name)
-        else:
-            lines.append(f"(no {baseline_path} baseline; gate skipped)")
-        if failures:
-            raise SystemExit(
-                f"micro regression: {', '.join(failures)} slower than "
-                f"{gate_ratio}x the pinned BENCH_micro.json")
-        return "\n".join(lines)
-
-    if json_path:
-        payload = {
-            "schema_version": 1,
-            "experiment": "micro",
-            "seed": seed,
-            "smoke": False,
-            "gate": {"max_ratio": gate_ratio},
-            "kernels": results,
-            "ingest": ingest,
-        }
-        with open(json_path, "w") as fh:
-            json_mod.dump(payload, fh, indent=1)
-            fh.write("\n")
-        lines.append("")
-        lines.append(f"(machine-readable results written to {json_path})")
-    return "\n".join(lines)
+    baseline = Path("BENCH_micro.json")
+    pinned = (load(json.loads(baseline.read_text()))
+              if smoke and baseline.is_file() else None)
+    if smoke and pinned is None:
+        lines.append(f"(no {baseline} baseline; gate skipped)")
+    record = Micro(seed=seed, smoke=smoke, gate=MicroGate(),
+                   kernels=results, ingest=ingest, pinned=pinned)
+    for name, ratio in record.slowdowns().items():
+        limit = pinned.gate.max_ratio
+        lines.append(
+            f"gate {name}: {ratio:.2f}x of pinned "
+            f"{pinned.kernels[name].best_ns_per_op:.1f} ns/op "
+            f"(limit {limit}x) — {'FAIL' if ratio > limit else 'ok'}")
+    return record.finish(lines)
 
 
 def update_stream(full: bool = False, queries: int | None = None,
                   seed: int = 0, estimate: str = "area",
                   updates: int | None = None, smoke: bool = False,
-                  json_path: str | None = "BENCH_update.json",
                   **_ignored) -> str:
     """Query cost vs. update fraction, compaction recovery, and WAL
     crash recovery on the Fig. 8a terrain.
@@ -846,19 +762,12 @@ def update_stream(full: bool = False, queries: int | None = None,
     Violating any of the three gates exits non-zero, so ``--smoke`` is
     a CI regression gate alongside ``throughput --smoke``.
     """
-    import json as json_mod
-    import tempfile
-    from pathlib import Path
-
     from ..core import ValueQuery, load_index, run_sequential, save_index
-    from ..field.dem import DEMField
     from ..storage import SimulatedCrash
-    from ..synth import value_query_workload
 
     if smoke:
         size, per_q, n_updates = 64, 3, 200
         fractions = (0.5, 1.0)
-        json_path = None
     else:
         size = 512 if full else 256
         per_q = 10 if queries is None else queries
@@ -866,12 +775,8 @@ def update_stream(full: bool = False, queries: int | None = None,
         fractions = (0.1, 0.25, 0.5, 1.0)
 
     base = roseburg_like(cells_per_side=size)
-    vrange = base.value_range
-    lo0, hi0 = vrange.lo, vrange.hi
-    workload = []
-    for q in QINTERVALS_FIG8:
-        workload += value_query_workload(vrange, q,
-                                         count=per_q, seed=seed)
+    lo0, hi0 = base.value_range.lo, base.value_range.hi
+    workload = _fig8a_queries(base, per_q, seed)
 
     rng = np.random.default_rng(seed + 1)
     up_ids = rng.integers(0, base.num_vertices, n_updates)
@@ -879,18 +784,24 @@ def update_stream(full: bool = False, queries: int | None = None,
 
     # Each method maintains its own field copy so the three update
     # paths are exercised fully independently.
-    factories = {
-        "LinearScan": LinearScanIndex,
-        "I-All": IAllIndex,
-        "I-Hilbert": IHilbertIndex,
-    }
-    indexes = {name: cls(DEMField(base.heights.copy()))
-               for name, cls in factories.items()}
+    factories = standard_methods()
+    indexes = {name: factory(DEMField(base.heights.copy()))
+               for name, factory in factories.items()}
 
     def cold_pages(index):
         index.clear_caches()
         return run_sequential(index, workload, estimate=estimate,
                               cold=True).io.page_reads
+
+    def same_answers(x, y, queries) -> bool:
+        """Equal candidate counts, and areas within 1e-9, per query."""
+        x.clear_caches()
+        y.clear_caches()
+        return all(
+            a.candidate_count == b.candidate_count
+            and np.isclose(a.area, b.area, rtol=1e-9, atol=1e-9)
+            for a, b in ((x.query(q, estimate=estimate),
+                          y.query(q, estimate=estimate)) for q in queries))
 
     baseline = {name: cold_pages(ix) for name, ix in indexes.items()}
 
@@ -926,38 +837,26 @@ def update_stream(full: bool = False, queries: int | None = None,
             + f" {st['max_drift']:>+8.1%} "
             f"{ih.maint_stats.page_reads:>6}/"
             f"{ih.maint_stats.page_writes:<6}")
-        steps.append({
-            "updates_applied": applied,
-            "fraction": frac,
-            "page_reads": pages,
-            "ratio_vs_baseline": {
+        steps.append(UpdateStep(
+            updates_applied=applied, fraction=frac, page_reads=pages,
+            ratio_vs_baseline={
                 name: round(pages[name] / max(baseline[name], 1), 4)
                 for name in factories},
-            "ih_staleness": {k: (round(v, 6) if isinstance(v, float)
-                                 else v) for k, v in st.items()},
-            "ih_maint_page_reads": ih.maint_stats.page_reads,
-            "ih_maint_page_writes": ih.maint_stats.page_writes,
-        })
+            ih_staleness=Staleness(**{
+                k: (round(v, 6) if isinstance(v, float) else v)
+                for k, v in st.items()}),
+            ih_maint_page_reads=ih.maint_stats.page_reads,
+            ih_maint_page_writes=ih.maint_stats.page_writes))
 
     # Gate 1: every method must now answer exactly like a fresh build
     # over the updated field.
     final_field = indexes["I-Hilbert"].field
     for index in indexes.values():
         assert np.array_equal(index.field.heights, final_field.heights)
-    equivalent = True
-    for name, cls in factories.items():
-        fresh = cls(DEMField(final_field.heights.copy()))
-        updated = indexes[name]
-        updated.clear_caches()
-        fresh.clear_caches()
-        for query in workload:
-            a = updated.query(query, estimate=estimate)
-            b = fresh.query(query, estimate=estimate)
-            if (a.candidate_count != b.candidate_count
-                    or not np.isclose(a.area, b.area,
-                                      rtol=1e-9, atol=1e-9)):
-                equivalent = False
-        del fresh
+    equivalent = all(
+        same_answers(indexes[name],
+                     factory(DEMField(final_field.heights.copy())), workload)
+        for name, factory in factories.items())
     lines += [
         "",
         "equivalence vs from-scratch rebuild after all updates: "
@@ -982,12 +881,12 @@ def update_stream(full: bool = False, queries: int | None = None,
         f"subfields",
         f"I-Hilbert page reads: degraded {degraded_pages}, "
         f"compacted {compacted_pages}, fresh build {fresh_pages} "
-        f"(recovery ratio {recovery_ratio:.3f}, gate <= 1.10)",
+        f"(recovery ratio {recovery_ratio:.3f}, gate <= "
+        f"{COMPACT_RECOVERY_LIMIT:.2f})",
     ]
 
     # Gate 3: an update acknowledged by the WAL but crashed before any
     # page write must survive reload.
-    wal_recovered = True
     crash_field = roseburg_like(cells_per_side=32)
     crash_ids = rng.integers(0, crash_field.num_vertices, 50)
     crash_vals = rng.uniform(lo0, hi0, 50).astype(np.float32)
@@ -1004,82 +903,37 @@ def update_stream(full: bool = False, queries: int | None = None,
         recovered = load_index(directory)
         twin = IHilbertIndex(DEMField(crash_field.heights.copy()))
         twin.apply_updates(crash_ids, crash_vals)
-        for q in QINTERVALS_FIG8:
-            span = (hi0 - lo0) * q
-            query = ValueQuery(lo0 + span, lo0 + 2 * span + 1.0)
-            a = recovered.query(query, estimate=estimate)
-            b = twin.query(query, estimate=estimate)
-            if (a.candidate_count != b.candidate_count
-                    or not np.isclose(a.area, b.area,
-                                      rtol=1e-9, atol=1e-9)):
-                wal_recovered = False
+        spans = [(hi0 - lo0) * q for q in QINTERVALS_FIG8]
+        wal_recovered = same_answers(
+            recovered, twin, [ValueQuery(lo0 + span, lo0 + 2 * span + 1.0)
+                              for span in spans])
     lines.append(
         "WAL crash recovery (crash after append, before page write): "
         + ("PASS (reloaded index matches uncrashed twin)"
            if wal_recovered else "FAIL"))
 
-    if json_path:
-        payload = {
-            "schema_version": 1,
-            "experiment": "update",
-            "field": {
-                "type": type(base).__name__,
-                "cells_per_side": size,
-                "cells": base.num_cells,
-                "vertices": base.num_vertices,
-            },
-            "workload": {
-                "queries": len(workload),
-                "per_qinterval": per_q,
-                "qintervals": QINTERVALS_FIG8,
-                "seed": seed,
-                "estimate": estimate,
-            },
-            "updates": {
-                "count": n_updates,
-                "seed": seed + 1,
-                "distribution": "uniform over initial value range",
-            },
-            "smoke": smoke,
-            "baseline_page_reads": baseline,
-            "steps": steps,
-            "final": {
-                "equivalent_to_rebuild": equivalent,
-                "compaction": {
-                    "degraded_page_reads": degraded_pages,
-                    "compacted_page_reads": compacted_pages,
-                    "fresh_page_reads": fresh_pages,
-                    "recovery_ratio": round(recovery_ratio, 4),
-                    "reclustered_cells": report["reclustered_cells"],
-                    "subfields_before": report["subfields_before"],
-                    "subfields_after": report["subfields_after"],
-                },
-                "wal_recovery": wal_recovered,
-            },
-        }
-        with open(json_path, "w") as fh:
-            json_mod.dump(payload, fh, indent=1)
-            fh.write("\n")
-        lines.append(f"(machine-readable results written to {json_path})")
-
-    failures = []
-    if not equivalent:
-        failures.append("updated indexes diverge from a fresh rebuild")
-    if recovery_ratio > 1.10:
-        failures.append(
-            f"compaction recovery ratio {recovery_ratio:.3f} > 1.10")
-    if not wal_recovered:
-        failures.append("WAL replay lost an acknowledged update")
-    if failures:
-        raise SystemExit("update regression: " + "; ".join(failures))
-    return "\n".join(lines)
+    compaction = Compaction(
+        degraded_page_reads=degraded_pages,
+        compacted_page_reads=compacted_pages, fresh_page_reads=fresh_pages,
+        recovery_ratio=round(recovery_ratio, 4),
+        reclustered_cells=report["reclustered_cells"],
+        subfields_before=report["subfields_before"],
+        subfields_after=report["subfields_after"])
+    return Update(
+        field=UpdateField(type(base).__name__, size, base.num_cells,
+                          base.num_vertices),
+        workload=QueryWorkload(len(workload), per_q, QINTERVALS_FIG8, seed,
+                               estimate),
+        updates=UpdateStream(n_updates, seed + 1,
+                             "uniform over initial value range"),
+        smoke=smoke, baseline_page_reads=baseline, steps=steps,
+        final=UpdateFinal(equivalent, compaction, wal_recovered),
+    ).finish(lines)
 
 
 def serve_bench(full: bool = False, queries: int | None = None,
                 seed: int = 0, estimate: str = "area",
-                smoke: bool = False,
-                json_path: str | None = "BENCH_serve.json",
-                **_ignored) -> str:
+                smoke: bool = False, **_ignored) -> str:
     """Closed-loop multi-tenant load against the field query service.
 
     Boots a :class:`~repro.serve.server.FieldServer` in-process on an
@@ -1097,11 +951,6 @@ def serve_bench(full: bool = False, queries: int | None = None,
     non-zero — so ``--smoke`` (tiny field, fewer clients, no JSON
     artifact) doubles as the CI regression gate for the serving layer.
     """
-    import json as json_mod
-    import threading
-    import time
-    from pathlib import Path
-
     from ..core import EngineFacade
     from ..obs.export import write_trace
     from ..obs.metrics import REGISTRY
@@ -1109,11 +958,9 @@ def serve_bench(full: bool = False, queries: int | None = None,
     from ..obs.rolling import percentile_from_buckets
     from ..serve import (AdmissionController, FieldClient, FieldServer,
                          ServerError, ServerThread, TenantQuota)
-    from ..synth import value_query_workload
 
     if smoke:
         size, per_q, clients_per_tenant = 64, 2, 2
-        json_path = None
     else:
         size = 512 if full else 256
         per_q = 4 if queries is None else queries
@@ -1132,15 +979,10 @@ def serve_bench(full: bool = False, queries: int | None = None,
 
     # Per-client workloads: each client replays its own Fig. 8a mix,
     # seeded per (tenant, client) so connections do not run in lockstep.
-    workloads: dict[tuple[str, int], list] = {}
-    for ti, tenant in enumerate(tenants):
-        for ci in range(clients_per_tenant):
-            mix = []
-            for q in QINTERVALS_FIG8:
-                mix += value_query_workload(
-                    field.value_range, q, count=per_q,
-                    seed=seed + 1000 * ti + ci)
-            workloads[(tenant, ci)] = mix
+    workloads = {
+        (tenant, ci): _fig8a_queries(field, per_q, seed + 1000 * ti + ci)
+        for ti, tenant in enumerate(tenants)
+        for ci in range(clients_per_tenant)}
     per_client = per_q * len(QINTERVALS_FIG8)
 
     # Direct-engine oracle for every distinct query, computed before
@@ -1231,10 +1073,10 @@ def serve_bench(full: bool = False, queries: int | None = None,
     for row in wait_collected["series"]:
         for i, count in enumerate(row["bucket_counts"]):
             wait_counts[i] += count
-    admission_wait_ms = {
+    admission_wait = AdmissionWait(**{
         q: round(percentile_from_buckets(wait_hist.buckets,
                                          wait_counts, p), 4)
-        for q, p in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))}
+        for q, p in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))})
 
     with FieldClient(host, port, tenant="bench") as probe:
         stats = probe.stats("terrain")
@@ -1253,8 +1095,8 @@ def serve_bench(full: bool = False, queries: int | None = None,
         f"{'q/s':>8} {'p50 ms':>8} {'p95 ms':>8} {'p99 ms':>8} "
         f"{'max ms':>8}",
     ]
-    tenant_payload = []
-    total_queries = total_mismatches = total_errors = 0
+    tenant_runs = []
+    total_queries = total_mismatches = 0
     max_wall = 0.0
     for tenant in tenants:
         tenant_records = [records[key] for key in sorted(records)
@@ -1267,36 +1109,22 @@ def serve_bench(full: bool = False, queries: int | None = None,
         mismatches = sum(record["mismatches"]
                          for record in tenant_records)
         qps = len(latencies) / wall if wall > 0 else 0.0
-        p50, p95, p99 = (np.percentile(latencies, (50, 95, 99))
-                         if len(latencies) else (0.0, 0.0, 0.0))
+        lat = latencies if len(latencies) else np.zeros(1)
+        p50, p95, p99 = np.percentile(lat, (50, 95, 99))
         lines.append(
             f"{tenant:>8} {clients_per_tenant:>8} {len(latencies):>8} "
             f"{errors:>7} {qps:>8.1f} {p50:>8.2f} {p95:>8.2f} "
-            f"{p99:>8.2f} {latencies.max() if len(latencies) else 0:>8.2f}")
-        pool_share = stats["tenants"].get(tenant, {})
-        residency = stats["residency"]["tenants"].get(tenant, {})
-        tenant_payload.append({
-            "tenant": tenant,
-            "clients": clients_per_tenant,
-            "queries": int(len(latencies)),
-            "errors": errors,
-            "wall_s": round(wall, 4),
-            "qps": round(qps, 2),
-            "latency_ms": {
-                "p50": round(float(p50), 3),
-                "p95": round(float(p95), 3),
-                "p99": round(float(p99), 3),
-                "mean": round(float(latencies.mean()), 3)
-                        if len(latencies) else 0.0,
-                "max": round(float(latencies.max()), 3)
-                       if len(latencies) else 0.0,
-            },
-            "pool": pool_share,
-            "residency": residency,
-        })
+            f"{p99:>8.2f} {lat.max():>8.2f}")
+        tenant_runs.append(TenantRun(
+            tenant=tenant, clients=clients_per_tenant,
+            queries=int(len(latencies)), errors=errors,
+            wall_s=round(wall, 4), qps=round(qps, 2),
+            latency_ms=Latency(*(round(float(v), 3) for v in
+                                 (p50, p95, p99, lat.mean(), lat.max()))),
+            pool=PoolShare(**stats["tenants"].get(tenant, {})),
+            residency=stats["residency"]["tenants"].get(tenant, {})))
         total_queries += len(latencies)
         total_mismatches += mismatches
-        total_errors += errors
         max_wall = max(max_wall, wall)
     overall_qps = total_queries / max_wall if max_wall > 0 else 0.0
     lines += [
@@ -1316,75 +1144,34 @@ def serve_bench(full: bool = False, queries: int | None = None,
         f"({trace_spans} spans -> results/serve_trace.json), "
         f"{qlog.entries} qlog entrie(s) -> results/serve_qlog.jsonl, "
         f"admission wait p50/p95/p99 = "
-        f"{admission_wait_ms['p50']}/{admission_wait_ms['p95']}/"
-        f"{admission_wait_ms['p99']} ms",
+        f"{admission_wait.p50}/{admission_wait.p95}/"
+        f"{admission_wait.p99} ms",
     ]
-    if json_path:
-        payload = {
-            "schema_version": 1,
-            "experiment": "serve",
-            "field": {
-                "type": type(field).__name__,
-                "cells_per_side": size,
-                "cells": field.num_cells,
-            },
-            "workload": {
-                "queries": per_client,
-                "per_qinterval": per_q,
-                "qintervals": QINTERVALS_FIG8,
-                "seed": seed,
-                "estimate": estimate,
-            },
-            "smoke": smoke,
-            "server": {
-                "engine_workers": engine_workers,
-                "executor_workers": executor_workers,
-                "tenants": len(tenants),
-                "clients_per_tenant": clients_per_tenant,
-                "total_requests": total_queries,
-            },
-            "tenants": tenant_payload,
-            "totals": {
-                "queries": total_queries,
-                "wall_s": round(max_wall, 4),
-                "qps": round(overall_qps, 2),
-            },
-            "equivalence": {
-                "checked": total_queries,
-                "mismatches": total_mismatches,
-            },
-            "observability": {
-                "trace_sample_rate": server.trace_sample_rate,
-                "sampled_spans": server.sampled_total,
-                "trace_span_events": trace_spans,
-                "qlog_entries": qlog.entries,
-                "admission_wait_ms": admission_wait_ms,
-            },
-        }
-        with open(json_path, "w") as fh:
-            json_mod.dump(payload, fh, indent=1)
-            fh.write("\n")
-        lines.append(f"(machine-readable results written to {json_path})")
-    failures = []
-    if total_mismatches:
-        failures.append(f"{total_mismatches} responses diverged from "
-                        f"direct engine answers")
-    if total_errors:
-        failures.append(f"{total_errors} requests got error responses")
-    if total_queries != n_clients * per_client:
-        failures.append(
-            f"served {total_queries} queries, expected "
-            f"{n_clients * per_client}")
-    if failures:
-        raise SystemExit("serve regression: " + "; ".join(failures))
-    return "\n".join(lines)
+    return Serve(
+        field=FieldInfo(type(field).__name__, size, field.num_cells),
+        workload=QueryWorkload(per_client, per_q, QINTERVALS_FIG8, seed,
+                               estimate),
+        smoke=smoke,
+        server=ServerInfo(
+            engine_workers=engine_workers,
+            executor_workers=executor_workers, tenants=len(tenants),
+            clients_per_tenant=clients_per_tenant,
+            total_requests=total_queries),
+        tenants=tenant_runs,
+        totals=ServeTotals(total_queries, round(max_wall, 4),
+                           round(overall_qps, 2)),
+        equivalence=Equivalence(total_queries, total_mismatches),
+        observability=Observability(
+            trace_sample_rate=server.trace_sample_rate,
+            sampled_spans=server.sampled_total,
+            trace_span_events=trace_spans, qlog_entries=qlog.entries,
+            admission_wait_ms=admission_wait),
+    ).finish(lines)
 
 
 def shard_bench(full: bool = False, queries: int | None = None,
                 seed: int = 0, estimate: str = "area",
-                smoke: bool = False,
-                json_path: str | None = "BENCH_shard.json",
-                **_ignored) -> str:
+                smoke: bool = False, **_ignored) -> str:
     """Scale-out sweep: Hilbert-range shards 1/2/4/8 on Fig. 8a.
 
     For each shard count the Fig. 8a workload runs against a
@@ -1399,19 +1186,15 @@ def shard_bench(full: bool = False, queries: int | None = None,
     = unsharded device ms / Σ max-over-shards ms — the honest
     distributed-I/O number, independent of host scheduling noise.
     Remote-tier traffic (fetches, evictions, local hits) is reported
-    per shard count.  ``--smoke`` shrinks the field, skips the JSON
-    artifact, and exits non-zero on any divergence — the CI gate.
+    per shard count.  Any divergence exits non-zero; ``--smoke``
+    shrinks the field and skips the JSON artifact — the CI gate.
     """
-    import json as json_mod
-
     from ..shard import ShardedEngine
     from ..storage import SimulatedObjectStore
     from ..storage.stats import RANDOM_READ_MS, SEQUENTIAL_READ_MS
-    from ..synth import value_query_workload
 
     if smoke:
         size, per_q, shard_counts = 32, 2, (1, 2, 4)
-        json_path = None
     else:
         size = 256 if full else 128
         per_q = 4 if queries is None else queries
@@ -1419,10 +1202,7 @@ def shard_bench(full: bool = False, queries: int | None = None,
     remote_cache_pages = 8
 
     field = roseburg_like(cells_per_side=size)
-    workload = []
-    for q in QINTERVALS_FIG8:
-        workload += value_query_workload(field.value_range, q,
-                                         count=per_q, seed=seed)
+    workload = _fig8a_queries(field, per_q, seed)
 
     def device_ms(delta) -> float:
         return delta.simulated_cost(random_read=RANDOM_READ_MS,
@@ -1449,7 +1229,7 @@ def shard_bench(full: bool = False, queries: int | None = None,
         f"{'dev ms':>9} {'speedup':>8} {'fetches':>8} {'evicted':>8} "
         f"{'hits':>8}",
     ]
-    sweep_payload = []
+    sweep = []
     total_checked = total_mismatches = 0
     for n_shards in shard_counts:
         store = SimulatedObjectStore()
@@ -1476,72 +1256,34 @@ def shard_bench(full: bool = False, queries: int | None = None,
             f"{reads:>7} {shard_ms:>9.1f} {speedup:>7.2f}x "
             f"{int(remote['fetches']):>8} {int(remote['evictions']):>8} "
             f"{int(remote['local_hits']):>8}")
-        sweep_payload.append({
-            "shards_requested": n_shards,
-            "shards_built": engine.shard_map.num_shards,
-            "verified": len(workload) - mismatches,
-            "mismatches": mismatches,
-            "page_reads": int(reads),
-            "device_ms": round(shard_ms, 3),
-            "speedup": round(speedup, 3),
-            "remote": {
-                "fetches": int(remote["fetches"]),
-                "evictions": int(remote["evictions"]),
-                "local_hits": int(remote["local_hits"]),
-                "puts": int(remote["puts"]),
-            },
-        })
+        sweep.append(ShardPoint(
+            shards_requested=n_shards,
+            shards_built=engine.shard_map.num_shards,
+            verified=len(workload) - mismatches, mismatches=mismatches,
+            page_reads=int(reads), device_ms=round(shard_ms, 3),
+            speedup=round(speedup, 3),
+            remote=RemoteTraffic(
+                **{key: int(remote[key]) for key in
+                   ("fetches", "evictions", "local_hits", "puts")})))
     lines += [
         "",
         f"equivalence: {total_checked - total_mismatches}/"
         f"{total_checked} sharded answers identical to the unsharded "
         f"engine",
     ]
-    if json_path:
-        payload = {
-            "schema_version": 1,
-            "experiment": "shard",
-            "field": {
-                "type": type(field).__name__,
-                "cells_per_side": size,
-                "cells": field.num_cells,
-            },
-            "workload": {
-                "queries": len(workload),
-                "per_qinterval": per_q,
-                "qintervals": QINTERVALS_FIG8,
-                "seed": seed,
-                "estimate": estimate,
-            },
-            "device_model": {
-                "random_read_ms": RANDOM_READ_MS,
-                "sequential_read_ms": SEQUENTIAL_READ_MS,
-            },
-            "smoke": smoke,
-            "remote_cache_pages": remote_cache_pages,
-            "baseline_device_ms": round(base_ms, 3),
-            "sweep": sweep_payload,
-            "equivalence": {
-                "checked": total_checked,
-                "mismatches": total_mismatches,
-            },
-        }
-        with open(json_path, "w") as fh:
-            json_mod.dump(payload, fh, indent=1)
-            fh.write("\n")
-        lines.append(f"(machine-readable results written to {json_path})")
-    if smoke and total_mismatches:
-        print("\n".join(lines))
-        raise SystemExit(
-            f"shard smoke FAILED: {total_mismatches} sharded answers "
-            f"diverged from the unsharded engine")
-    return "\n".join(lines)
+    return Shard(
+        field=FieldInfo(type(field).__name__, size, field.num_cells),
+        workload=QueryWorkload(len(workload), per_q, QINTERVALS_FIG8, seed,
+                               estimate),
+        device_model=DeviceCosts(RANDOM_READ_MS, SEQUENTIAL_READ_MS),
+        smoke=smoke, remote_cache_pages=remote_cache_pages,
+        baseline_device_ms=round(base_ms, 3), sweep=sweep,
+        equivalence=Equivalence(total_checked, total_mismatches),
+    ).finish(lines)
 
 
 def aggregate_bench(full: bool = False, queries: int | None = None,
                     seed: int = 0, smoke: bool = False,
-                    json_path: str | None = "BENCH_aggregate.json",
-                    gate_ratio: float = 1.5,
                     **_ignored) -> str:
     """Accuracy-vs-speed frontier of the learned aggregate models.
 
@@ -1553,30 +1295,20 @@ def aggregate_bench(full: bool = False, queries: int | None = None,
 
     Hard checks on every run (CI and full): every model-only answer
     must lie within its reported error bound vs the exact vectorized
-    path; every hybrid answer's bound must fit its tolerance; and a
+    path; every hybrid answer's bound must fit its tolerance; a
     ``tolerance=0`` hybrid subsample must match the exact answers
-    byte for byte.  ``smoke=True`` shrinks the field, skips the JSON
-    artifact and additionally gates hybrid wall time at
-    ``gate_ratio``x the same run's exact wall time, cross-checking the
-    committed ``BENCH_aggregate.json`` frontier the same way.
+    byte for byte; and hybrid-1pct wall time must stay within the
+    record's ``gate.max_slowdown`` times the same run's exact wall
+    time.  ``smoke=True`` shrinks the field and skips the JSON
+    artifact.
     """
-    import json as json_mod
-    import time
-    from pathlib import Path
-
-    from ..synth import value_query_workload
-
     if smoke:
         size, per_q = 48, 4
-        json_path = None
     else:
         size = 512 if full else 256
         per_q = 20 if queries is None else queries
     field = roseburg_like(cells_per_side=size)
-    workload = []
-    for q in QINTERVALS_FIG8:
-        workload += value_query_workload(field.value_range, q,
-                                         count=per_q, seed=seed)
+    workload = _fig8a_queries(field, per_q, seed)
     kinds = ("count", "sum", "area")
 
     index = IHilbertIndex(field)
@@ -1589,12 +1321,8 @@ def aggregate_bench(full: bool = False, queries: int | None = None,
     totals = {k: index.aggregate(k, vr.lo, vr.hi, mode="model").value
               for k in kinds}
 
-    configs = [
-        ("exact", "exact", None),
-        ("hybrid-1pct", "hybrid", 0.01),
-        ("hybrid-0.1pct", "hybrid", 0.001),
-        ("model", "model", None),
-    ]
+    configs = [("exact", "exact", None), ("hybrid-1pct", "hybrid", 0.01),
+               ("hybrid-0.1pct", "hybrid", 0.001), ("model", "model", None)]
     lines = [
         f"== aggregate: learned-model frontier on Fig. 8a workload "
         f"({size}x{size} terrain) ==",
@@ -1609,9 +1337,8 @@ def aggregate_bench(full: bool = False, queries: int | None = None,
         f"{'model sf':>9}",
     ]
     exact_values: dict[tuple[int, str], float] = {}
-    config_payload = []
+    frontier = []
     violations: list[str] = []
-    wall_by_name: dict[str, float] = {}
     for name, mode, frac in configs:
         tols = ({k: frac * abs(totals[k]) for k in kinds}
                 if frac is not None else {k: None for k in kinds})
@@ -1653,32 +1380,25 @@ def aggregate_bench(full: bool = False, queries: int | None = None,
                         f"{name} {kind}: bound {result.bound:.6g} "
                         f"exceeds tolerance {tols[kind]:.6g}")
         wall = time.perf_counter() - t0
-        wall_by_name[name] = wall
         mean_rel = sum_rel / ops if mode != "exact" else 0.0
         lines.append(
             f"{name:>14} {wall:>8.3f} {ops / wall:>8.1f} {pages:>9,} "
             f"{max_rel * 100:>9.4f} {mean_rel * 100:>9.4f} "
             f"{n_exact_sf:>9,} {n_model_sf:>9,}")
-        config_payload.append({
-            "name": name,
-            "mode": mode,
-            "tolerance_frac": frac,
-            "wall_seconds": round(wall, 4),
-            "ops": ops,
-            "ops_per_second": round(ops / wall, 2),
-            "pages": pages,
-            "exact_subfields": n_exact_sf,
-            "model_subfields": n_model_sf,
-            "max_abs_error": {k: max_abs[k] for k in kinds},
-            "max_rel_error_pct": round(max_rel * 100, 6),
-            "mean_rel_error_pct": round(mean_rel * 100, 6),
-        })
+        frontier.append(AggregateConfig(
+            name=name, mode=mode, tolerance_frac=frac,
+            wall_seconds=round(wall, 4), ops=ops,
+            ops_per_second=round(ops / wall, 2), pages=pages,
+            exact_subfields=n_exact_sf, model_subfields=n_model_sf,
+            max_abs_error={k: max_abs[k] for k in kinds},
+            max_rel_error_pct=round(max_rel * 100, 6),
+            mean_rel_error_pct=round(mean_rel * 100, 6)))
 
     # Byte-for-byte equivalence: tolerance=0 hybrid must be the exact
     # vectorized path, AVG included.
     eq_checked = 0
     eq_mismatches = 0
-    for qi, query in enumerate(workload[::5]):
+    for query in workload[::5]:
         for kind in kinds + ("avg",):
             exact = index.aggregate(kind, query.lo, query.hi,
                                     mode="exact")
@@ -1687,87 +1407,29 @@ def aggregate_bench(full: bool = False, queries: int | None = None,
             eq_checked += 1
             if hybrid.value != exact.value or hybrid.bound != 0.0:
                 eq_mismatches += 1
-                violations.append(
-                    f"hybrid(tol=0) {kind}[{query.lo:.4g},"
-                    f"{query.hi:.4g}] = {hybrid.value!r} != exact "
-                    f"{exact.value!r}")
-    lines.append("")
-    lines.append(
+    lines += [
+        "",
         f"equivalence: {eq_checked} tolerance=0 hybrid answers "
-        f"checked against exact — {eq_mismatches} mismatches")
-
-    if smoke:
-        ratio = wall_by_name["hybrid-1pct"] / wall_by_name["exact"]
-        mark = "FAIL" if ratio > gate_ratio else "ok"
-        lines.append(
-            f"gate hybrid-1pct: {ratio:.2f}x of exact wall "
-            f"(limit {gate_ratio}x) — {mark}")
-        if ratio > gate_ratio:
-            violations.append(
-                f"hybrid-1pct wall {ratio:.2f}x exact (limit "
-                f"{gate_ratio}x)")
-        baseline_path = Path(json_path or "BENCH_aggregate.json")
-        if baseline_path.is_file():
-            with open(baseline_path) as fh:
-                pinned = json_mod.load(fh)
-            by_name = {c["name"]: c for c in pinned.get("configs", [])}
-            if "exact" in by_name and "hybrid-1pct" in by_name:
-                pinned_ratio = (by_name["hybrid-1pct"]["wall_seconds"]
-                                / by_name["exact"]["wall_seconds"])
-                mark = "FAIL" if pinned_ratio > gate_ratio else "ok"
-                lines.append(
-                    f"gate pinned frontier: hybrid-1pct "
-                    f"{pinned_ratio:.2f}x of exact (limit "
-                    f"{gate_ratio}x) — {mark}")
-                if pinned_ratio > gate_ratio:
-                    violations.append(
-                        f"pinned BENCH_aggregate.json frontier has "
-                        f"hybrid-1pct at {pinned_ratio:.2f}x exact")
-        else:
-            lines.append(f"(no {baseline_path} baseline; pinned-frontier "
-                         f"gate skipped)")
-
-    if json_path:
-        payload = {
-            "schema_version": 1,
-            "experiment": "aggregate",
-            "field": {
-                "type": type(field).__name__,
-                "cells_per_side": size,
-                "cells": field.num_cells,
-            },
-            "workload": {
-                "queries": len(workload),
-                "per_qinterval": per_q,
-                "qintervals": QINTERVALS_FIG8,
-                "seed": seed,
-                "kinds": list(kinds),
-            },
-            "model": {
-                "degree": models.degree,
-                "subfields": models.num_subfields,
-                "nbytes": models.nbytes,
-                "fit_seconds": round(fit_seconds, 4),
-                "weight": models.weight,
-            },
-            "smoke": smoke,
-            "gate": {"max_slowdown": gate_ratio},
-            "totals": {k: totals[k] for k in kinds},
-            "configs": config_payload,
-            "equivalence": {
-                "checked": eq_checked,
-                "mismatches": eq_mismatches,
-            },
-        }
-        with open(json_path, "w") as fh:
-            json_mod.dump(payload, fh, indent=1)
-            fh.write("\n")
-        lines.append(f"(machine-readable results written to {json_path})")
+        f"checked against exact — {eq_mismatches} mismatches",
+    ]
     if violations:
         print("\n".join(lines))
         raise SystemExit(
-            "aggregate bench FAILED:\n  " + "\n  ".join(violations[:20]))
-    return "\n".join(lines)
+            "aggregate FAILED:\n  " + "\n  ".join(violations[:20]))
+    return Aggregate(
+        field=FieldInfo(type(field).__name__, size, field.num_cells),
+        workload=AggregateWorkload(len(workload), per_q, QINTERVALS_FIG8,
+                                   seed, list(kinds)),
+        model=ModelInfo(degree=models.degree,
+                        subfields=models.num_subfields,
+                        nbytes=models.nbytes,
+                        fit_seconds=round(fit_seconds, 4),
+                        weight=models.weight),
+        smoke=smoke, gate=AggregateGate(),
+        totals={k: totals[k] for k in kinds},
+        configs=frontier, equivalence=Equivalence(eq_checked,
+                                                  eq_mismatches),
+    ).finish(lines)
 
 
 def _render(result) -> str:

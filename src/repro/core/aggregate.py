@@ -87,7 +87,7 @@ def _validate(kind: str, lo: float, hi: float, mode: str,
         raise ValueError(f"aggregate bounds must be finite: [{lo}, {hi}]")
     if lo > hi:
         raise ValueError(f"empty aggregate interval: lo={lo} > hi={hi}")
-    if tolerance is not None and tolerance < 0:
+    if tolerance is not None and not tolerance >= 0:    # NaN too
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
 
 

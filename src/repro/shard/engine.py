@@ -338,7 +338,9 @@ class ShardedEngine(ValueIndex):
         When a :class:`~repro.storage.remote.SimulatedObjectStore` is
         given, every shard's pages live in it — each shard disk behind
         its own ``remote_cache_pages``-frame local cache under the
-        namespace ``shard-<uid>``.  Otherwise shards are in-memory
+        namespace ``<prefix>/shard-<uid>``, where the engine claims a
+        fresh ``<prefix>`` from the store, so engines can share one
+        store.  Otherwise shards are in-memory
         :class:`~repro.storage.disk.DiskManager` files.
     map_dir:
         When given, the shard map is committed there at build time and
@@ -441,6 +443,10 @@ class ShardedEngine(ValueIndex):
         self.cache_pages = cache_pages
         self.remote_store = remote_store
         self.remote_cache_pages = remote_cache_pages
+        #: This engine's key prefix in ``remote_store``; shard ``uid``
+        #: keeps its frames under ``<prefix>/shard-<uid>``.
+        self._remote_prefix = (remote_store.claim()
+                               if remote_store is not None else None)
         self._fault_mode: FaultMode = "raise"
         self._query_faults = []
         self.shards = []
@@ -461,9 +467,9 @@ class ShardedEngine(ValueIndex):
 
     def _shard_backend(self, uid: int):
         if self.remote_store is not None:
-            return remote_backend(self.remote_store,
-                                  self.remote_cache_pages,
-                                  namespace=f"shard-{uid}")
+            return remote_backend(
+                self.remote_store, self.remote_cache_pages,
+                namespace=f"{self._remote_prefix}/shard-{uid}")
         return DiskManager
 
     def _make_runtime(self, view, spec, *, groups=None,

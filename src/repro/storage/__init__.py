@@ -7,8 +7,9 @@ from .disk import (CHECKSUM_NAME, DiskManager, PAGE_HEADER_SIZE, PAGE_SIZE,
 from .faults import (CorruptPageError, FaultEvent, FaultInjector, FaultSpec,
                      PageError, PageFault, SimulatedCrash, TransientIOError)
 from .records import RecordStore
-from .remote import (REMOTE_GET_MS, REMOTE_PUT_MS, RemoteDiskManager,
-                     RemoteFetchError, SimulatedObjectStore, remote_backend)
+from .remote import (REMOTE_GET_MS, REMOTE_PUT_MS, NamespaceTakenError,
+                     RemoteDiskManager, RemoteFetchError, SimulatedObjectStore,
+                     remote_backend)
 from .scrub import ScrubReport, file_sha256, repair_index, scrub_index
 from .snapshot import (SAVE_DISK_CRASH_POINTS, SnapshotError, load_disk,
                        save_disk, verify_snapshot)
@@ -26,6 +27,7 @@ __all__ = [
     "FaultInjector",
     "FaultSpec",
     "IOStats",
+    "NamespaceTakenError",
     "PAGE_HEADER_SIZE",
     "PAGE_SIZE",
     "PageError",

@@ -35,6 +35,7 @@ and eviction counters stay attributable per disk.
 from __future__ import annotations
 
 import functools
+import itertools
 import threading
 from collections import OrderedDict
 from collections.abc import Callable, Iterable
@@ -66,6 +67,11 @@ class RemoteFetchError(TransientIOError):
         self.key = key
 
 
+class NamespaceTakenError(ValueError):
+    """A key namespace was claimed twice in one object store; two
+    owners of one namespace would overwrite each other's frames."""
+
+
 class SimulatedObjectStore:
     """Deterministic in-memory object store for page frames.
 
@@ -93,6 +99,7 @@ class SimulatedObjectStore:
         self.put_bytes = 0
         self.failed_gets = 0
         self.simulated_ms = 0.0
+        self._namespaces: set[str] = set()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -111,6 +118,23 @@ class SimulatedObjectStore:
         """
         base = self.gets if relative else 0
         self._fail_gets.update(base + int(i) for i in schedule)
+
+    def claim(self, namespace: str | None = None) -> str:
+        """Reserve a key namespace for one owner and return it.
+
+        ``None`` takes a fresh ``ns-<n>``; a namespace claimed before
+        raises :class:`NamespaceTakenError` naming it.
+        """
+        with self._lock:
+            if namespace is None:
+                namespace = next(f"ns-{n}" for n in itertools.count()
+                                 if f"ns-{n}" not in self._namespaces)
+            elif namespace in self._namespaces:
+                raise NamespaceTakenError(
+                    f"namespace {namespace!r} is already taken in this "
+                    f"object store")
+            self._namespaces.add(namespace)
+            return namespace
 
     def put(self, key: str, frame: bytes) -> None:
         """Store one object (an accounted, latency-charged PUT)."""
@@ -367,17 +391,25 @@ class RemoteDiskManager(DiskManager):
 
 
 def remote_backend(store: SimulatedObjectStore, cache_pages: int = 64,
-                   namespace: str = "") -> Callable[..., RemoteDiskManager]:
+                   namespace: str | None = None
+                   ) -> Callable[..., RemoteDiskManager]:
     """Bind a store + cache budget into a ``disk_backend`` factory.
 
     The result plugs into :class:`~repro.core.base.ValueIndex` (and
     therefore every access method) as ``disk_backend=remote_backend(
-    store, cache_pages, namespace)``: each disk the index creates — the
-    data file and, for indexed methods, the tree file — lives in the
-    object store behind its own ``cache_pages``-frame local cache,
-    keyed under ``namespace/<file>/<page>``.  Indexes sharing one
-    store need distinct namespaces, or their files overwrite each
-    other's frames.
+    store, cache_pages)``: each disk the index creates — the data file,
+    for indexed methods the tree file, and the tree a compaction
+    rebuilds — lives in the object store behind its own
+    ``cache_pages``-frame local cache, keyed under
+    ``namespace/<file>/<page>``.
+
+    Each call claims its namespace in the store
+    (:meth:`SimulatedObjectStore.claim`): ``None`` (the default) takes
+    a fresh one, and a namespace claimed before raises
+    :class:`NamespaceTakenError`.  So indexes sharing one store never
+    overwrite each other's frames, as long as each index gets its own
+    factory.
     """
     return functools.partial(RemoteDiskManager, store=store,
-                             cache_pages=cache_pages, namespace=namespace)
+                             cache_pages=cache_pages,
+                             namespace=store.claim(namespace))

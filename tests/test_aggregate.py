@@ -229,8 +229,9 @@ def test_validation_errors(index):
         index.aggregate("median", 0.0, 1.0)
     with pytest.raises(ValueError):
         index.aggregate("count", 2.0, 1.0)
-    with pytest.raises(ValueError):
-        index.aggregate("count", 0.0, 1.0, tolerance=-1.0)
+    for tolerance in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="tolerance"):
+            index.aggregate("count", 0.0, 1.0, tolerance=tolerance)
     with pytest.raises(ValueError):
         index.aggregate("count", 0.0, 1.0, mode="psychic")
 

@@ -549,8 +549,10 @@ def test_fault_counters_reach_the_registry(backend, smooth_dem):
 # `on_fault="skip"` degrades one shard without poisoning the gather.
 
 from repro.core.query import ValueQuery as _VQ  # noqa: E402
+from repro.field import DEMField  # noqa: E402
 from repro.shard import ShardedEngine  # noqa: E402
 from repro.storage import (  # noqa: E402
+    NamespaceTakenError,
     RemoteDiskManager,
     RemoteFetchError,
     SimulatedObjectStore,
@@ -632,6 +634,43 @@ def test_remote_backend_answers_match_local_backend(smooth_dem):
     assert store.counters()["failed_gets"] == 3
 
 
+def test_indexes_sharing_a_store_keep_their_own_frames(smooth_dem,
+                                                       rough_dem):
+    """Each ``remote_backend`` call claims a fresh namespace, so two
+    indexes on one store answer like local twins, also after one of
+    them rebuilt its tree by compaction; a namespace is claimed once."""
+    store = SimulatedObjectStore()
+    first = IHilbertIndex(DEMField(smooth_dem.heights.copy()),
+                          disk_backend=remote_backend(store, cache_pages=0))
+    second = IHilbertIndex(rough_dem,
+                           disk_backend=remote_backend(store, cache_pages=0))
+    first.apply_updates([0, 40, 300], [900.0, -900.0, 50.0])
+    assert first.compact()["stale_runs"] > 0
+    twins = [IHilbertIndex(DEMField(first.field.heights.copy())),
+             IHilbertIndex(rough_dem)]
+    for index, twin in zip((first, second), twins):
+        for query in _workloads(index.field):
+            got, want = index.query(query), twin.query(query)
+            assert got.candidate_count == want.candidate_count
+            assert got.area == pytest.approx(want.area)
+    with pytest.raises(NamespaceTakenError, match="'ns-0'"):
+        remote_backend(store, namespace="ns-0")
+
+
+def test_sharded_engines_sharing_a_store_keep_their_own_frames(
+        smooth_dem, rough_dem):
+    store = SimulatedObjectStore()
+    engines = [ShardedEngine(field, n_shards=4, method="I-Hilbert",
+                             remote_store=store, remote_cache_pages=0)
+               for field in (smooth_dem, rough_dem)]
+    for engine in engines:
+        local = IHilbertIndex(engine.field)
+        for query in _workloads(engine.field):
+            got, want = engine.query(query), local.query(query)
+            assert (got.candidate_count, got.area) \
+                == (want.candidate_count, want.area)
+
+
 def test_remote_cache_fetch_and_eviction_accounting(smooth_dem):
     store = SimulatedObjectStore()
     engine = ShardedEngine(smooth_dem, n_shards=2, method="I-Hilbert",
@@ -656,7 +695,7 @@ def test_remote_skip_degrades_one_shard_without_poisoning_gather(
     engine = ShardedEngine(smooth_dem, n_shards=4, method="I-Hilbert",
                            remote_store=store, remote_cache_pages=0)
     victim = engine.shards[2]
-    store.corrupt(f"shard-{victim.uid}/data/0", byte_index=5, bit=1)
+    store.corrupt(victim.index.data_disk._key(0), byte_index=5, bit=1)
     vr = smooth_dem.value_range
     with pytest.raises(CorruptPageError):
         engine.query(_VQ(vr.lo, vr.hi))

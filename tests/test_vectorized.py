@@ -70,10 +70,12 @@ def queries_for(field) -> list[ValueQuery]:
     return queries
 
 
-def index_pair(method, field, **kwargs):
-    """An index and a copy of itself forced onto the per-page fetch."""
-    index = METHODS[method](field, **kwargs)
-    perpage = METHODS[method](field, **kwargs)
+def index_pair(method, field, backend="list", **kwargs):
+    """An index and a copy of itself forced onto the per-page fetch,
+    each on page files of its own from ``backend``."""
+    index, perpage = (
+        METHODS[method](field, disk_backend=disk_backend(backend), **kwargs)
+        for _ in range(2))
     perpage.inject_faults(FaultInjector())
     return index, perpage
 
@@ -97,8 +99,7 @@ def field(request):
 def test_matches_oracle(field, method, backend):
     """Candidates and areas equal the brute-force oracle bit for bit,
     on the batched and on the per-page fetch."""
-    for index in index_pair(method, field,
-                            disk_backend=disk_backend(backend)):
+    for index in index_pair(method, field, backend):
         for query in queries_for(field):
             want, want_area = oracle_answer(index, query)
             got = index._candidates(query.lo, query.hi)
@@ -114,7 +115,7 @@ def test_matches_oracle(field, method, backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_vectorized_equals_scalar(field, method, backend):
     """Cold: the batched fetch matches the per-page fetch exactly."""
-    vec, scl = index_pair(method, field, disk_backend=disk_backend(backend))
+    vec, scl = index_pair(method, field, backend)
     for query in queries_for(field):
         for index in (vec, scl):
             index.clear_caches()
