@@ -1046,9 +1046,11 @@ def serve_bench(full: bool = False, queries: int | None = None,
     # (which ran with sampling and the qlog off, so the q/s above is
     # the clean number): flip sampling to 1.0 plus an always-log qlog,
     # replay a few traced queries per tenant, and write the sampled
-    # span trees (Chrome trace) and qlog excerpt under results/.
-    results_dir = Path("results")
-    results_dir.mkdir(exist_ok=True)
+    # span trees (Chrome trace) and qlog excerpt under results/ — under
+    # the git-ignored results/smoke/ for a smoke run, so the committed
+    # samples stay those of a full run.
+    results_dir = Path("results/smoke" if smoke else "results")
+    results_dir.mkdir(parents=True, exist_ok=True)
     qlog_path = results_dir / "serve_qlog.jsonl"
     qlog_path.unlink(missing_ok=True)
     qlog = QueryLog(qlog_path, latency_ms=0.0)
@@ -1141,8 +1143,8 @@ def serve_bench(full: bool = False, queries: int | None = None,
             f"accesses ({stats['tenants'].get(t, {}).get('bytes_read', 0)} B)"
             for t in tenants),
         f"observability: {server.sampled_total} sampled trace(s) "
-        f"({trace_spans} spans -> results/serve_trace.json), "
-        f"{qlog.entries} qlog entrie(s) -> results/serve_qlog.jsonl, "
+        f"({trace_spans} spans -> {results_dir}/serve_trace.json), "
+        f"{qlog.entries} qlog entrie(s) -> {qlog_path}, "
         f"admission wait p50/p95/p99 = "
         f"{admission_wait.p50}/{admission_wait.p95}/"
         f"{admission_wait.p99} ms",

@@ -153,12 +153,15 @@ def cmd_query(args) -> int:
     index = facade.handle("cli").index
     tracer = _setup_observability(args, index)
     mode = "regions" if args.regions else "area"
-    if args.workers > 1:
-        result = facade.batch("cli", [ValueQuery(args.lo, args.hi)],
-                              estimate=mode, workers=args.workers,
-                              cache_pages=0).results[0]
-    else:
-        result = facade.query("cli", args.lo, args.hi, estimate=mode)
+    try:
+        if args.workers > 1:
+            result = facade.batch("cli", [ValueQuery(args.lo, args.hi)],
+                                  estimate=mode, workers=args.workers,
+                                  cache_pages=0).results[0]
+        else:
+            result = facade.query("cli", args.lo, args.hi, estimate=mode)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
     print(f"candidates: {result.candidate_count}")
     print(f"answer area: {result.area:.4f}")
     print(f"I/O: {result.io.page_reads} pages "
@@ -181,8 +184,11 @@ def cmd_aggregate(args) -> int:
     facade.open_field("cli", args.index_dir)
     index = facade.handle("cli").index
     tracer = _setup_observability(args, index)
-    result = facade.aggregate("cli", args.kind, args.lo, args.hi,
-                              tolerance=args.tolerance, mode=args.mode)
+    try:
+        result = facade.aggregate("cli", args.kind, args.lo, args.hi,
+                                  tolerance=args.tolerance, mode=args.mode)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
     if args.json:
         print(json.dumps(result.to_dict(), indent=1))
     else:

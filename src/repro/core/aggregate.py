@@ -343,16 +343,20 @@ def fit_aggregate_models(index, degree: int = DEFAULT_DEGREE
 
 
 def _exact_components(field_type, block: np.ndarray, lo: float,
-                      hi: float) -> dict[str, float]:
-    """Exact per-block contributions via the vectorized estimation path."""
+                      hi: float, comps: tuple[str, ...]) -> dict[str, float]:
+    """Exact per-block contributions of ``comps`` via the vectorized
+    estimation path (only the components asked for are computed)."""
     vmins = block["vmin"].astype(np.float64)
     vmaxs = block["vmax"].astype(np.float64)
     mask = (vmins <= hi) & (vmaxs >= lo)
-    return {
-        "count": float(int(mask.sum())),
-        "sum": float(((vmins + vmaxs) * 0.5)[mask].sum()),
-        "area": float(field_type.estimate_area(block[mask], lo, hi)),
-    }
+    out = {}
+    if "count" in comps:
+        out["count"] = float(int(mask.sum()))
+    if "sum" in comps:
+        out["sum"] = float(((vmins + vmaxs) * 0.5)[mask].sum())
+    if "area" in comps:
+        out["area"] = float(field_type.estimate_area(block[mask], lo, hi))
+    return out
 
 
 def _avg_bound(count: float, count_bound: float, total: float,
@@ -449,7 +453,8 @@ def evaluate_aggregate(index, models: AggregateModelSet, kind: str,
             if exact_rows[row]:
                 sf = index.subfields[sf_id]
                 block = index.store.read_range(sf.ptr_start, sf.ptr_end)
-                exact = _exact_components(index.field_type, block, lo, hi)
+                exact = _exact_components(index.field_type, block, lo, hi,
+                                          comps)
                 for c in comps:
                     values[c] += exact[c]
             else:
@@ -496,7 +501,8 @@ def exact_aggregate(index, kind: str, lo: float,
     before = index.stats.snapshot()
     with index.tracer.span("aggregate", {"kind": kind}) as span:
         candidates = index._candidates(lo, hi)
-        parts = _exact_components(index.field_type, candidates, lo, hi)
+        parts = _exact_components(index.field_type, candidates, lo, hi,
+                                  _COMPONENTS[kind])
         if kind == "avg":
             value = (parts["sum"] / parts["count"]
                      if parts["count"] > 0 else 0.0)

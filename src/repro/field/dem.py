@@ -221,13 +221,31 @@ class DEMField(Field):
 
         The unit of area is one grid cell; multiply by ``cell_size²`` for
         spatial units.
+
+        A cell whose four float64 samples all lie in ``[lo, hi]`` is
+        interior: the kernel returns exactly 1.0 for both its triangles,
+        so it gets 2.0 without running it.  Only the boundary cells run
+        :func:`triangle_band_fraction`; the per-cell array, and so its
+        sum, is bit for bit the one the kernel gives over every cell.
         """
         if len(records) == 0:
             return 0.0
         c = records["corners"].astype(np.float64)
-        lower = triangle_band_fraction(c[:, 0], c[:, 1], c[:, 2], lo, hi)
-        upper = triangle_band_fraction(c[:, 0], c[:, 2], c[:, 3], lo, hi)
-        return float((lower + upper).sum() * 0.5)
+        v00, v10, v11, v01 = c.T
+        lowest = np.minimum(np.minimum(v00, v10), np.minimum(v11, v01))
+        highest = np.maximum(np.maximum(v00, v10), np.maximum(v11, v01))
+        # Negated so that a NaN sample makes its cell a boundary cell.
+        boundary = ~((lowest >= lo) & (highest <= hi))
+        per_cell = np.full(len(c), 2.0)
+        b = c[boundary].T
+        # One kernel call over both triangles of every boundary cell:
+        # the lower ones (v00, v10, v11), then the upper ones
+        # (v00, v11, v01).
+        frac = triangle_band_fraction(np.concatenate([b[0], b[0]]),
+                                      b[1:3].ravel(), b[2:4].ravel(), lo, hi)
+        n = b.shape[1]
+        per_cell[boundary] = frac[:n] + frac[n:]
+        return float(per_cell.sum() * 0.5)
 
     @classmethod
     def band_area_curves(cls, records: np.ndarray,

@@ -183,17 +183,32 @@ class TINField(Field):
     @classmethod
     def estimate_area(cls, records: np.ndarray, lo: float,
                       hi: float) -> float:
-        """Vectorized answer-region area over candidate TIN records."""
+        """Vectorized answer-region area over candidate TIN records.
+
+        A triangle whose three float64 samples all lie in ``[lo, hi]``
+        is interior: the kernel returns exactly 1.0 for it, so it
+        contributes its whole area without running it.  Only the
+        boundary triangles run :func:`triangle_band_fraction`; the
+        per-cell array, and so its sum, is bit for bit the one the
+        kernel gives over every triangle.
+        """
         if len(records) == 0:
             return 0.0
         vs = records["vs"].astype(np.float64)
-        frac = triangle_band_fraction(vs[:, 0], vs[:, 1], vs[:, 2], lo, hi)
         xs = records["xs"].astype(np.float64)
         ys = records["ys"].astype(np.float64)
-        area = 0.5 * np.abs(
+        per_cell = 0.5 * np.abs(
             (xs[:, 1] - xs[:, 0]) * (ys[:, 2] - ys[:, 0])
             - (xs[:, 2] - xs[:, 0]) * (ys[:, 1] - ys[:, 0]))
-        return float((frac * area).sum())
+        v0, v1, v2 = vs.T
+        lowest = np.minimum(np.minimum(v0, v1), v2)
+        highest = np.maximum(np.maximum(v0, v1), v2)
+        # Negated so that a NaN sample makes its triangle a boundary one.
+        boundary = ~((lowest >= lo) & (highest <= hi))
+        b = vs[boundary]
+        per_cell[boundary] *= triangle_band_fraction(
+            b[:, 0], b[:, 1], b[:, 2], lo, hi)
+        return float(per_cell.sum())
 
     # -- helpers ----------------------------------------------------------
 

@@ -9,11 +9,13 @@ here rather than with its own ``np.frombuffer`` call:
 decodes a contiguous run of payloads into one structured array for the
 vectorized query path.
 
-Decoding is zero-copy where the buffer allows it: ``np.frombuffer``
-wraps the payload without copying (the resulting array is read-only for
-read-only buffers, which is exactly what query code wants).  Multi-page
-runs are materialized into one freshly allocated array — a single copy,
-instead of one Python-level loop iteration per record.
+:func:`decode_records` is zero-copy: ``np.frombuffer`` wraps the
+payload without copying (the resulting array is read-only for read-only
+buffers).  :func:`decode_pages` makes exactly one copy of a run of any
+length: the used prefix of every payload is joined into one
+``bytearray`` and viewed as records, so a page costs one buffer slice
+whatever its record count, and the result is a writable array of its
+own.
 """
 
 from __future__ import annotations
@@ -41,22 +43,16 @@ def decode_pages(payloads: Sequence, dtype: np.dtype,
                  counts: Sequence[int]) -> np.ndarray:
     """Decode a run of page payloads into one contiguous structured array.
 
-    ``payloads[i]`` holds ``counts[i]`` leading records of ``dtype``.
-    A single-page run stays zero-copy (it returns the
-    :func:`decode_records` view directly); longer runs allocate one
-    output array and copy each page's records into place — no
-    per-record Python loop, no intermediate list of arrays.
+    ``payloads[i]`` holds ``counts[i]`` leading records of ``dtype``;
+    the bytes past them (a frame's zero padding) are ignored.  Runs of
+    any length, zero and one page included, take the same single copy,
+    so the result is always writable and never aliases a payload.
+    Raises ``ValueError`` when a payload is shorter than its count.
     """
     if len(payloads) != len(counts):
         raise ValueError(
             f"{len(payloads)} payloads but {len(counts)} record counts")
-    if not payloads:
-        return np.empty(0, dtype=dtype)
-    if len(payloads) == 1:
-        return decode_records(payloads[0], dtype, counts[0])
-    out = np.empty(sum(counts), dtype=dtype)
-    pos = 0
-    for payload, n in zip(payloads, counts):
-        out[pos:pos + n] = decode_records(payload, dtype, n)
-        pos += n
-    return out
+    size = np.dtype(dtype).itemsize
+    joined = bytearray().join(memoryview(payload)[:n * size]
+                              for payload, n in zip(payloads, counts))
+    return np.frombuffer(joined, dtype=dtype, count=sum(counts))

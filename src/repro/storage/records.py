@@ -187,26 +187,20 @@ class RecordStore:
     def read_range(self, rid_start: int, rid_end: int) -> np.ndarray:
         """Read records with ``rid_start <= rid <= rid_end`` (inclusive).
 
-        The underlying pages are fetched in order, so a clustered range
-        costs one random seek plus sequential reads — the access pattern
-        subfields are designed to exploit.
+        The covering pages are one :meth:`read_pages` batch (accounted
+        like a serial page loop), so a clustered range costs one random
+        seek plus sequential reads — the access pattern subfields are
+        designed to exploit — and one decode copy.  The result is a
+        slice of that batch.
         """
         if rid_start > rid_end:
             return np.empty(0, dtype=self.dtype)
         self._check_rid(rid_start)
         self._check_rid(rid_end)
-        rpp = self.records_per_page
-        first_page = rid_start // rpp
-        last_page = rid_end // rpp
-        parts = []
-        for p in range(first_page, last_page + 1):
-            page = self.read_page(p)
-            # Trim the partial first/last pages *before* concatenating,
-            # so a mid-page range never copies records it will discard.
-            lo = rid_start - p * rpp if p == first_page else 0
-            hi = rid_end - p * rpp + 1 if p == last_page else len(page)
-            parts.append(page[lo:hi])
-        return np.concatenate(parts) if len(parts) > 1 else parts[0]
+        first_page = rid_start // self.records_per_page
+        block = self.read_pages(first_page, rid_end // self.records_per_page)
+        start = rid_start - first_page * self.records_per_page
+        return block[start:start + rid_end - rid_start + 1]
 
     def read_page_set(self, page_nos) -> tuple[np.ndarray, np.ndarray,
                                                np.ndarray]:

@@ -141,3 +141,37 @@ def test_batch_command_bad_queries(heights_file, tmp_path):
         main(["batch", str(index_dir), str(empty)])
     with pytest.raises(SystemExit):
         main(["batch", str(index_dir), str(tmp_path / "missing.txt")])
+
+
+def test_aggregate_command(heights_file, tmp_path, capsys):
+    index_dir = tmp_path / "idx"
+    main(["build", str(heights_file), str(index_dir)])
+    capsys.readouterr()
+    answers = {}
+    for mode in ("hybrid", "exact"):
+        assert main(["aggregate", str(index_dir), "area", "240", "300",
+                     "--tolerance", "0.01", "--mode", mode,
+                     "--json"]) == 0
+        answers[mode] = json.loads(capsys.readouterr().out)
+    hybrid, exact = answers["hybrid"], answers["exact"]
+    assert hybrid["kind"] == "area" and exact["bound"] == 0.0
+    assert 0.0 <= hybrid["bound"] <= 0.01
+    assert abs(hybrid["value"] - exact["value"]) <= hybrid["bound"] + 1e-9
+    assert main(["aggregate", str(index_dir), "count", "240", "300"]) == 0
+    assert capsys.readouterr().out.startswith("count[240, 300] = ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["query", "300", "240"],
+    ["aggregate", "area", "300", "240"],
+    ["aggregate", "area", "240", "300", "--tolerance", "-1"],
+    ["aggregate", "area", "240", "300", "--tolerance", "nan"],
+])
+def test_bad_request_is_a_one_line_error(heights_file, tmp_path, argv):
+    """An invalid interval or tolerance exits with ``error: ...``, not
+    a traceback."""
+    index_dir = tmp_path / "idx"
+    main(["build", str(heights_file), str(index_dir)])
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], str(index_dir), *argv[1:]])
+    assert str(exc.value.code).startswith("error: ")

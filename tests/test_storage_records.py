@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage import DiskManager, RecordStore
+from repro.storage import DiskManager, FaultInjector, RecordStore
 
 DTYPE = np.dtype([("key", np.int64), ("value", np.float64)])
 
@@ -170,6 +170,31 @@ def test_read_range_reads_each_page_once():
     store.disk.reset_head()
     store.read_range(5, 14)   # pages 1..3
     assert store.disk.stats.page_reads == 3
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 30), cache_pages=st.sampled_from([0, 2, 16]),
+       data=st.data())
+def test_read_range_same_with_fault_injector(n, cache_pages, data):
+    """An attached (empty) injector turns the batch into serial reads;
+    records, IOStats and pool counters stay those of the batch, cold
+    and warm."""
+    start = data.draw(st.integers(0, n - 1))
+    end = data.draw(st.integers(start, n - 1))
+    rows = np.array([(k, float(k)) for k in range(n)], dtype=DTYPE)
+    plain, injected = (make_store(cache_pages=cache_pages)
+                       for _ in range(2))
+    injected.disk.fault_injector = FaultInjector()
+    for store in (plain, injected):
+        store.extend(rows)
+        store.disk.stats.reset()
+        store.disk.reset_head()
+    for _ in range(2):
+        want = rows[start:end + 1].tobytes()
+        assert plain.read_range(start, end).tobytes() == want
+        assert injected.read_range(start, end).tobytes() == want
+        assert plain.disk.stats == injected.disk.stats
+        assert plain.pool.counters() == injected.pool.counters()
 
 
 def test_page_ids_are_contiguous_for_burst_build():

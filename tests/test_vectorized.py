@@ -14,8 +14,10 @@ I-Hilbert, I-Hilbert+planner} × {list, remote} disk backends:
   candidate counts, areas, per-query ``IOStats`` and pool counters,
   cold and with a warm cache.
 
-Plus hypothesis round-trips of the shared frame→records codec every
-fetch decodes through.
+Plus hypothesis properties of the two kernels every query runs: the
+shared frame→records codec every fetch decodes through, and the §3.2
+area estimator, which must equal the band kernel run on every cell bit
+for bit.
 """
 
 from __future__ import annotations
@@ -32,13 +34,18 @@ from repro.core import (
     PlannedIndex,
     ValueQuery,
 )
-from repro.field import DEMField
-from repro.storage import FaultInjector
+from repro.field import (
+    DEM_RECORD_DTYPE,
+    TIN_RECORD_DTYPE,
+    DEMField,
+    TINField,
+)
+from repro.storage import DiskManager, FaultInjector
 from repro.storage.codec import decode_pages, decode_records
 from repro.synth import fractal_dem_heights, lyon_like
 
 from .backends import BACKENDS, disk_backend
-from .oracle import oracle_answer
+from .oracle import oracle_answer, reference_area
 
 METHODS = {
     "LinearScan": LinearScanIndex,
@@ -179,17 +186,42 @@ def test_codec_roundtrip_single_frame(arr):
     assert out.tobytes() == arr.tobytes()
 
 
-@given(arrs=st.lists(record_arrays(max_len=16), min_size=0, max_size=8))
+USABLE_PAGE_SIZE = DiskManager().usable_page_size
+
+
+@st.composite
+def page_runs(draw):
+    """``(dtype, payloads, counts)`` of a page run as page files return
+    it: every payload padded to ``usable_page_size``, every page full
+    but a partial tail, record bytes arbitrary."""
+    dtype = draw(st.sampled_from(
+        [RECORD_DTYPE, DEM_RECORD_DTYPE, TIN_RECORD_DTYPE]))
+    per_page = USABLE_PAGE_SIZE // dtype.itemsize
+    pages = draw(st.integers(min_value=0, max_value=6))
+    tail = draw(st.integers(min_value=1, max_value=per_page))
+    counts = [per_page] * pages
+    if pages:
+        counts[-1] = tail
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    payloads = [rng.bytes(n * dtype.itemsize).ljust(USABLE_PAGE_SIZE,
+                                                    b"\0")
+                for n in counts]
+    return dtype, payloads, counts
+
+
+@given(run=page_runs())
 @settings(max_examples=100, deadline=None)
-def test_codec_roundtrip_multi_frame(arrs):
-    """decode_pages over per-page frames equals the concatenation."""
-    payloads = [a.tobytes() for a in arrs]
-    counts = [len(a) for a in arrs]
-    out = decode_pages(payloads, RECORD_DTYPE, counts)
-    want = (np.concatenate(arrs) if arrs
-            else np.empty(0, dtype=RECORD_DTYPE))
-    assert out.tobytes() == want.tobytes()
+def test_codec_roundtrip_multi_frame(run):
+    """decode_pages over padded frames equals the per-page decode_records
+    concatenation byte for byte, and is an array of its own."""
+    dtype, payloads, counts = run
+    out = decode_pages(payloads, dtype, counts)
+    want = b"".join(decode_records(p, dtype, n).tobytes()
+                    for p, n in zip(payloads, counts))
+    assert out.dtype == dtype
     assert len(out) == sum(counts)
+    assert out.tobytes() == want
+    assert out.flags.writeable
 
 
 def test_codec_offset_and_inferred_count():
@@ -202,3 +234,52 @@ def test_codec_offset_and_inferred_count():
 def test_codec_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
         decode_pages([b""], np.int64, [0, 0])
+    with pytest.raises(ValueError):
+        decode_pages([bytes(16), bytes(8)], np.int64, [2, 2])
+
+
+# -- §3.2 estimator against the band kernel on every cell ---------------------
+
+
+@st.composite
+def band_cases(draw, field_type):
+    """``(records, lo, hi)`` where ties are common: samples come from a
+    pool of at most four float32 values (one value makes a constant
+    field, flat cells are frequent), and each bound is either one of
+    them or a float64 that float32 may not hold."""
+    pool = draw(st.lists(st.floats(-1e3, 1e3, width=32), min_size=1,
+                         max_size=4))
+    n = draw(st.integers(min_value=0, max_value=40))
+    k = 4 if field_type is DEMField else 3
+    samples = np.asarray(draw(st.lists(st.sampled_from(pool),
+                                       min_size=n * k, max_size=n * k)),
+                         dtype=np.float32).reshape(n, k)
+    bound = st.one_of(st.sampled_from(pool), st.floats(-1.1e3, 1.1e3))
+    lo = draw(bound)
+    hi = draw(st.one_of(st.just(lo), bound))
+    lo, hi = min(lo, hi), max(lo, hi)
+    records = np.zeros(n, dtype=field_type.record_dtype)
+    records["vmin"] = samples.min(axis=1)
+    records["vmax"] = samples.max(axis=1)
+    if field_type is DEMField:
+        records["corners"] = samples
+        records["i"] = np.arange(n) % 7
+        records["j"] = np.arange(n) // 7
+    else:
+        rng = np.random.default_rng(n)
+        records["vs"] = samples
+        records["xs"] = rng.random((n, 3)) * 10.0
+        records["ys"] = rng.random((n, 3)) * 10.0
+    return records, lo, hi
+
+
+@pytest.mark.parametrize("field_type", [DEMField, TINField])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_estimate_area_equals_reference_kernel(field_type, data):
+    """Interior cells skip the kernel; the area stays bit-identical to
+    the kernel over every cell, ties at the bounds included."""
+    records, lo, hi = data.draw(band_cases(field_type))
+    got = field_type.estimate_area(records, lo, hi)
+    want = reference_area(field_type, records, lo, hi)
+    assert got == want
