@@ -80,29 +80,3 @@ def print_result(result: ExperimentResult, **kwargs) -> None:
     """Print :func:`format_result` output."""
     print(format_result(result, **kwargs))
 
-
-def to_markdown(result: ExperimentResult, metric: str = "mean_ms",
-                base: str = "LinearScan") -> str:
-    """One GitHub-markdown table for a metric, with speedups vs ``base``.
-
-    Used to paste measured series into EXPERIMENTS.md.
-    """
-    methods = [s.method for s in result.series]
-    header = ["Qinterval"] + methods
-    if base in methods:
-        header += [f"{m} vs {base}" for m in methods if m != base]
-    lines = ["| " + " | ".join(header) + " |",
-             "|" + "---|" * len(header)]
-    for i, q in enumerate(result.qintervals):
-        row = [f"{q:.3f}"]
-        for series in result.series:
-            row.append(f"{getattr(series.points[i], metric):.1f}")
-        if base in methods:
-            for series in result.series:
-                if series.method == base:
-                    continue
-                ratio = result.speedup(series.method, base,
-                                       metric=metric)[i]
-                row.append(f"{ratio:.1f}x")
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines)

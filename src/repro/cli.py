@@ -73,7 +73,7 @@ from .core import (
     save_index,
 )
 from .core.batch import DEFAULT_BATCH_CACHE_PAGES
-from .field import DEMField, TINField
+from .core.facade import load_field_file
 from .obs.explain import explain, explain_to_dict, render_explain
 from .obs.export import write_trace
 from .obs.metrics import REGISTRY
@@ -82,21 +82,11 @@ from .storage.scrub import repair_index, scrub_index
 
 
 def _load_field(path: Path):
-    """Load a field from ``.npy`` (DEM heights) or ``.npz`` (TIN)."""
-    if path.suffix == ".npy":
-        return DEMField(np.load(path))
-    if path.suffix == ".npz":
-        data = np.load(path)
-        for key in ("points", "values"):
-            if key not in data:
-                raise SystemExit(
-                    f"{path}: TIN archives need 'points' and 'values' "
-                    f"arrays (optional 'triangles')")
-        triangles = data["triangles"] if "triangles" in data else None
-        return TINField(data["points"], data["values"],
-                        triangles=triangles)
-    raise SystemExit(
-        f"{path}: unsupported field file (use .npy heights or .npz TIN)")
+    """Load a field file; a bad one is a one-line error."""
+    try:
+        return load_field_file(path)
+    except FacadeError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def cmd_build(args) -> int:

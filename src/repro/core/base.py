@@ -93,6 +93,44 @@ def require_finite_records(records: np.ndarray) -> None:
                 f"carry finite values")
 
 
+class FilterStep:
+    """One filtering step of ``index`` under fault mode ``mode``.
+
+    The one bracket around the index's fault state: every filtering
+    step — a single query, a batch group, a shard of a scatter, a shard
+    worker process — runs through :meth:`run`.
+    """
+
+    __slots__ = ("index", "mode", "io", "faults")
+
+    def __init__(self, index: "ValueIndex", mode: FaultMode) -> None:
+        self.index = index
+        self.mode = mode
+        self.io: IOStats | None = None
+        self.faults: list[PageFault] = []
+
+    def run(self, lo: float, hi: float) -> np.ndarray:
+        """Set the fault mode, run ``_candidates``, restore ``"raise"``
+        and an empty fault list.
+
+        The step's :class:`~repro.storage.stats.IOStats` delta and its
+        skipped-page faults land in :attr:`io` and :attr:`faults` also
+        when the step raises, so a caller folding them into its own
+        totals stays truthful after a typed error.
+        """
+        index = self.index
+        before = index.stats.snapshot()
+        index._fault_mode = self.mode
+        index._query_faults = []
+        try:
+            return index._candidates(lo, hi)
+        finally:
+            self.io = index.stats.diff(before)
+            self.faults = index._query_faults
+            index._fault_mode = "raise"
+            index._query_faults = []
+
+
 class ValueIndex(abc.ABC):
     """Base class for field-value access methods.
 
@@ -130,8 +168,26 @@ class ValueIndex(abc.ABC):
                  page_size: int = PAGE_SIZE,
                  retry_policy: RetryPolicy | None = None,
                  disk_backend: DiskBackend = DiskManager) -> None:
+        self._init_state(field, type(field), stats=stats,
+                         page_size=page_size, retry_policy=retry_policy,
+                         disk_backend=disk_backend)
+        self.data_disk = self._make_disk("data")
+        self.store = RecordStore(self.data_disk, field.record_dtype,
+                                 cache_pages=cache_pages)
+
+    def _init_state(self, field: Field | None, field_type: type | None, *,
+                    stats: IOStats | None = None,
+                    page_size: int = PAGE_SIZE,
+                    retry_policy: RetryPolicy | None = None,
+                    disk_backend: DiskBackend = DiskManager) -> None:
+        """Write the protocol state every index carries, storage aside.
+
+        The constructor, :func:`~repro.core.persist.load_index` and the
+        shard coordinator (which owns no page file of its own) all start
+        from here.
+        """
         self.field = field
-        self.field_type = type(field)
+        self.field_type = field_type
         self.stats = stats if stats is not None else IOStats()
         #: I/O spent maintaining the index under updates — kept apart
         #: from :attr:`stats` so the paper's per-query page counts stay
@@ -150,9 +206,6 @@ class ValueIndex(abc.ABC):
         self.disk_backend = disk_backend
         self._fault_mode: FaultMode = "raise"
         self._query_faults: list[PageFault] = []
-        self.data_disk = self._make_disk("data")
-        self.store = RecordStore(self.data_disk, field.record_dtype,
-                                 cache_pages=cache_pages)
 
     def _make_disk(self, name: str) -> DiskManager:
         """Create a page file honouring this index's backend and retry
@@ -206,28 +259,22 @@ class ValueIndex(abc.ABC):
             raise ValueError(
                 f"on_fault must be 'raise' or 'skip', got {on_fault!r}")
         tracer = self.tracer
-        before = self.stats.snapshot()
-        self._fault_mode = on_fault
-        self._query_faults = []
-        try:
-            if tracer.enabled:
-                with tracer.span("query", {"method": self.name,
-                                           "lo": query.lo,
-                                           "hi": query.hi}) as span:
-                    candidates = self._candidates(query.lo, query.hi)
-                    with tracer.span("estimate", {"mode": estimate}):
-                        result = self._finish(query, candidates, estimate)
-                    span.attrs["candidates"] = result.candidate_count
-                    if self._query_faults:
-                        span.attrs["faults"] = len(self._query_faults)
-            else:
-                candidates = self._candidates(query.lo, query.hi)
-                result = self._finish(query, candidates, estimate)
-            result.faults = self._query_faults
-        finally:
-            self._fault_mode = "raise"
-            self._query_faults = []
-        result.io = self.stats.diff(before)
+        step = FilterStep(self, on_fault)
+        if tracer.enabled:
+            with tracer.span("query", {"method": self.name,
+                                       "lo": query.lo,
+                                       "hi": query.hi}) as span:
+                candidates = step.run(query.lo, query.hi)
+                with tracer.span("estimate", {"mode": estimate}):
+                    result = self._finish(query, candidates, estimate)
+                span.attrs["candidates"] = result.candidate_count
+                if step.faults:
+                    span.attrs["faults"] = len(step.faults)
+        else:
+            result = self._finish(query, step.run(query.lo, query.hi),
+                                  estimate)
+        result.faults = step.faults
+        result.io = step.io
         if REGISTRY.enabled:
             _QUERIES.inc(1, method=self.name)
             _QUERY_PAGES.observe(result.io.page_reads, method=self.name)

@@ -39,10 +39,11 @@ effect.  Three mechanisms keep every output identical to one worker:
 * **Static group ownership.**  Worker ``w`` owns groups ``g ≡ w (mod
   workers)``, so per-worker I/O totals are a pure function of the
   workload, not of scheduling.
-* **Shared-state discipline.**  The index's ``_fault_mode`` /
-  ``_query_faults`` / ``tracer`` attributes are only touched while a
-  ticket is held; :meth:`~repro.core.base.ValueIndex._finish` is pure
-  CPU.
+* **Shared-state discipline.**  A group's fetch runs through
+  :class:`~repro.core.base.FilterStep`, the one bracket that sets and
+  restores the index's fault regime, and it and the worker's ``tracer``
+  swap happen only while a ticket is held;
+  :meth:`~repro.core.base.ValueIndex._finish` is pure CPU.
 
 One worker runs inline in the caller's thread, without a thread or a
 ticket.  Its span tree is ``batch → merge, group[i]``; with several
@@ -68,7 +69,8 @@ from ..obs.metrics import REGISTRY
 from ..obs.trace import NULL_TRACER, Tracer
 from ..storage import IOStats, PoolCounters
 from ..storage.stats import RANDOM_READ_MS, SEQUENTIAL_READ_MS
-from .base import EstimateMode, FaultMode, ValueIndex, interval_mask
+from .base import (EstimateMode, FaultMode, FilterStep, ValueIndex,
+                   interval_mask)
 from .query import QueryResult, ValueQuery
 
 #: Default shared-cache capacity for a batch: 1024 pages = 4 MiB of the
@@ -445,21 +447,16 @@ class BatchQueryEngine:
         the worker runner, which aborts every waiter.
         """
         index = self.index
+        step = FilterStep(index, on_fault)
         if tickets is not None:
             tickets.acquire(gi)
             index.tracer = tracer
-        before = index.stats.snapshot()
-        index._fault_mode = on_fault
-        index._query_faults = []
         try:
-            candidates = index._candidates(group.lo, group.hi)
-            group_faults = index._query_faults
+            candidates = step.run(group.lo, group.hi)
         finally:
-            index._fault_mode = "raise"
-            index._query_faults = []
             if tickets is not None:
                 index.tracer = NULL_TRACER
-        fetch_io = index.stats.diff(before)
+        fetch_io = step.io
         if tickets is not None:
             tickets.release(gi)
         # Everything below runs concurrently across workers: the
@@ -483,7 +480,7 @@ class BatchQueryEngine:
             if ordinal == 0:
                 # Faults belong to the member that performed the fetch,
                 # mirroring the I/O attribution above.
-                result.faults = group_faults
+                result.faults = step.faults
             results[i] = result
         return fetch_io
 

@@ -81,6 +81,17 @@ class CostBasedGrouping(GroupingPolicy):
         return None
 
 
+def default_grouping(span: float) -> CostBasedGrouping:
+    """The paper's cost model on values normalized to [0, 1] (§3.1.2).
+
+    Interval size = extent + 1 and P = L + 0.5 there; in raw value units
+    over a field whose values span ``span`` that is ``unit = span`` and
+    ``avg_query = span / 2`` (a constant field falls back to unit 1).
+    """
+    return CostBasedGrouping(unit=span if span > 0 else 1.0,
+                             avg_query=0.5 * span)
+
+
 class ThresholdGrouping(GroupingPolicy):
     """Fixed interval-size threshold (the Interval Quadtree criterion)."""
 

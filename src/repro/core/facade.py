@@ -50,11 +50,20 @@ class FacadeError(Exception):
     """Base class for facade-level failures (not engine/storage faults)."""
 
 
-def _field_from_file(path: Path) -> Field:
-    """Load a field file: ``.npy`` DEM heights or a ``.npz`` TIN."""
+def load_field_file(path: str | Path) -> Field:
+    """Load a field file: ``.npy`` DEM heights or a ``.npz`` TIN.
+
+    Any other suffix, and an archive without ``points`` and ``values``
+    arrays, raise :class:`FacadeError`.
+    """
+    path = Path(path)
     if path.suffix == ".npy":
         from ..field.dem import DEMField
         return DEMField(np.load(path))
+    if path.suffix != ".npz":
+        raise FacadeError(
+            f"{path}: unsupported field file (use .npy heights or .npz "
+            f"TIN)")
     from ..field.tin import TINField
     data = np.load(path)
     for key in ("points", "values"):
@@ -64,6 +73,22 @@ def _field_from_file(path: Path) -> Field:
                 f"arrays (optional 'triangles')")
     triangles = data["triangles"] if "triangles" in data else None
     return TINField(data["points"], data["values"], triangles=triangles)
+
+
+def _sum_counts(reports, total: dict | None = None) -> dict:
+    """Key-wise sum of nested count dicts, one per buffer pool.
+
+    Every frame lives in exactly one pool, so the sums keep each pool's
+    residency invariant (exclusive + shared + unattributed == resident).
+    """
+    total = {} if total is None else total
+    for report in reports:
+        for key, value in report.items():
+            if isinstance(value, dict):
+                _sum_counts([value], total.setdefault(key, {}))
+            else:
+                total[key] = total.get(key, 0) + value
+    return total
 
 
 class UnknownFieldError(FacadeError):
@@ -175,7 +200,7 @@ class EngineFacade:
         if path.is_dir():
             return load_index(path), str(path)
         if path.suffix in (".npy", ".npz"):
-            return self.index_factory(_field_from_file(path)), str(path)
+            return self.index_factory(load_field_file(path)), str(path)
         raise FacadeError(
             f"{path}: unsupported field source (expected an index "
             f"directory, .npy heights, or a .npz TIN)")
@@ -203,7 +228,7 @@ class EngineFacade:
                 raise FacadeError(
                     f"{path}: bulk_build needs a field source "
                     f"(.npy heights or .npz TIN), not a built index")
-            field, origin = _field_from_file(path), str(path)
+            field, origin = load_field_file(path), str(path)
         index, report = bulk_build(field, method=method, **build_kwargs)
         info = self.open_field(name, index, workers=workers,
                                cache_pages=cache_pages)
@@ -355,7 +380,10 @@ class EngineFacade:
         """Serving statistics: I/O, pool and per-tenant accounting.
 
         With ``name`` the report covers one field; without it, every
-        open field (keyed under ``"fields"``).
+        open field (keyed under ``"fields"``).  The ``pool`` block,
+        ``tenants`` and ``residency`` cover every pool of the field
+        (:meth:`~repro.core.base.ValueIndex.pools`): ``capacity`` is
+        the largest pool's, the counts are sums.
         """
         if name is None:
             return {"fields": {n: self.stats(n)
@@ -363,8 +391,10 @@ class EngineFacade:
         handle = self.handle(name)
         index = handle.index
         io: IOStats = index.stats
-        data_pool = index.store.pool
-        pool = sum((p.counters() for p in index.pools()), PoolCounters())
+        pools = handle.pools()
+        pool = sum((p.counters() for p in pools), PoolCounters())
+        residency = _sum_counts(p.tenant_residency() for p in pools)
+        residency["tenants"] = dict(sorted(residency["tenants"].items()))
         return {
             "field": name,
             "method": index.name,
@@ -384,27 +414,15 @@ class EngineFacade:
                 "hits": pool.hits,
                 "misses": pool.misses,
                 "evictions": pool.evictions,
-                "capacity": data_pool.capacity,
-                "resident_pages": len(data_pool),
+                "capacity": max(p.capacity for p in pools),
+                "resident_pages": residency["resident_pages"],
             },
-            "tenants": self._merged_tenant_counters(handle),
-            "residency": data_pool.tenant_residency(),
+            "tenants": _sum_counts(
+                {tenant: counters.to_dict()
+                 for tenant, counters in p.tenant_counters().items()}
+                for p in pools),
+            "residency": residency,
         }
-
-    @staticmethod
-    def _merged_tenant_counters(handle: FieldHandle) -> dict:
-        """Per-tenant traffic summed over every pool of the handle
-        (data pages and, for tree-backed indexes, index pages).
-        Residency stays per-pool — page ids overlap between files."""
-        merged: dict[str, dict] = {}
-        for pool in handle.pools():
-            for tenant, counters in pool.tenant_counters().items():
-                row = merged.setdefault(
-                    tenant, {"hits": 0, "misses": 0, "bytes_read": 0})
-                row["hits"] += counters.hits
-                row["misses"] += counters.misses
-                row["bytes_read"] += counters.bytes_read
-        return merged
 
     # -- internals ----------------------------------------------------------
 

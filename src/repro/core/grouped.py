@@ -96,7 +96,17 @@ class GroupedIntervalIndex(ValueIndex):
         #: the first aggregate() call or loaded from the manifest.
         self.aggregate_models = None
 
+        self._build_tree(cache_pages)
+
+    def _build_tree(self, cache_pages: int, injector=None) -> None:
+        """Bulk-load the 1-D R*-tree over the subfield intervals.
+
+        The tree goes on a fresh ``sf-tree`` disk carrying ``injector``
+        behind a ``cache_pages``-frame pool; a rebuild passes the old
+        tree's injector and cache so only the pages change.
+        """
         self.index_disk = self._make_disk("sf-tree")
+        self.index_disk.fault_injector = injector
         self.tree = RStarTree(dim=1, disk=self.index_disk,
                               cache_pages=cache_pages)
         self.tree.bulk_load_arrays(
@@ -327,16 +337,8 @@ class GroupedIntervalIndex(ValueIndex):
             self._built_costs = [
                 self._sf_cost(sf, si)
                 for sf, si in zip(self.subfields, self._sf_si)]
-            injector = self.index_disk.fault_injector
-            cache_pages = self.tree.pool.capacity
-            self.index_disk = self._make_disk("sf-tree")
-            self.index_disk.fault_injector = injector
-            self.tree = RStarTree(dim=1, disk=self.index_disk,
-                                  cache_pages=cache_pages)
-            self.tree.bulk_load(
-                [Rect.from_interval(sf.lo, sf.hi) for sf in self.subfields],
-                range(len(self.subfields)))
-            self.tree.flush()
+            self._build_tree(self.tree.pool.capacity,
+                             self.index_disk.fault_injector)
         summary["subfields_after"] = len(self.subfields)
         # Compaction moved subfield boundaries — the natural refit point
         # for the aggregate models (ROADMAP item 3 / PolyFit).

@@ -23,7 +23,7 @@ from ..curves import (
 from ..field.base import Field
 from ..storage import DiskManager, IOStats, PAGE_SIZE, RetryPolicy
 from .base import DiskBackend
-from .cost import CostBasedGrouping, GroupingPolicy, group_cells
+from .cost import GroupingPolicy, default_grouping, group_cells
 from .grouped import GroupedIntervalIndex
 
 
@@ -43,12 +43,16 @@ def centroid_grid_coords(centroids: np.ndarray, side: int,
     return np.clip(grid, 0, side - 1)
 
 
+def curve_keys(field: Field, curve: SpaceFillingCurve) -> np.ndarray:
+    """Curve value of every cell center, as int64."""
+    coords = centroid_grid_coords(field.cell_centroids(), curve.side,
+                                  field.bounds)
+    return np.asarray(curve.indices(coords), dtype=np.int64)
+
+
 def linearize(field: Field, curve: SpaceFillingCurve) -> np.ndarray:
     """Cell permutation in ascending curve value of cell centers."""
-    centroids = field.cell_centroids()
-    coords = centroid_grid_coords(centroids, curve.side, field.bounds)
-    keys = curve.indices(coords)
-    return np.argsort(keys, kind="stable")
+    return np.argsort(curve_keys(field, curve), kind="stable")
 
 
 def default_curve_order(field: Field, dim: int = 2) -> int:
@@ -100,13 +104,7 @@ class IHilbertIndex(GroupedIntervalIndex):
             curve = make_curve(curve, default_curve_order(field, dim), dim)
         self.curve = curve
         if grouping is None:
-            # The paper's cost model on values normalized to [0, 1]
-            # (§3.1.2): interval size = extent + 1 and P = L + 0.5.
-            # Expressed in raw value units that is unit = span and
-            # avg_query = span / 2; see CostBasedGrouping's docstring.
-            span = field.value_range.length
-            grouping = CostBasedGrouping(
-                unit=span if span > 0 else 1.0, avg_query=0.5 * span)
+            grouping = default_grouping(field.value_range.length)
         order = linearize(field, curve)
         records = field.cell_records()
         groups = group_cells(records["vmin"][order].astype(np.float64),
@@ -120,6 +118,7 @@ class IHilbertIndex(GroupedIntervalIndex):
 
     def describe(self) -> dict:
         info = super().describe()
-        info["curve"] = self.curve.name
+        # None on a reloaded index: the manifest does not keep the curve.
+        info["curve"] = getattr(self.curve, "name", None)
         info["grouping"] = type(self.grouping).__name__
         return info

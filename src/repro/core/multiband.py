@@ -13,7 +13,6 @@ from dataclasses import dataclass, field as dc_field
 
 from ..storage import IOStats
 from .base import EstimateMode, ValueIndex
-from .query import ValueQuery
 
 
 def normalize_bands(bands: list[tuple[float, float]]
@@ -126,8 +125,3 @@ def intersect_bands(a: list[tuple[float, float]],
         else:
             j += 1
     return result
-
-
-def make_queries(bands: list[tuple[float, float]]) -> list[ValueQuery]:
-    """ValueQuery objects for a normalized band list."""
-    return [ValueQuery(lo, hi) for lo, hi in normalize_bands(bands)]

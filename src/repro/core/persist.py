@@ -36,10 +36,10 @@ import numpy as np
 from ..field.dem import DEMField
 from ..field.tin import TINField
 from ..field.volume import VolumeField
-from ..storage import DiskManager, IOStats, RecordStore
-from ..storage.faults import SimulatedCrash
+from ..storage import IOStats, RecordStore
 from ..storage.scrub import file_sha256
-from ..storage.snapshot import fsync_dir, load_disk, save_disk
+from ..storage.snapshot import (SnapshotError, commit_file, load_disk,
+                                maybe_crash, read_json, save_disk)
 from ..storage.wal import WriteAheadLog
 from .cost import CostBasedGrouping, ThresholdGrouping
 
@@ -75,19 +75,6 @@ def _dtype_from_descr(descr: list) -> np.dtype:
         else:
             fields.append((entry[0], entry[1], tuple(entry[2])))
     return np.dtype(fields)
-
-
-def _maybe_crash(point: str, crash_point: str | None) -> None:
-    if crash_point == point:
-        raise SimulatedCrash(point)
-
-
-def _read_meta(directory: Path) -> dict | None:
-    meta_path = directory / "meta.json"
-    if not meta_path.exists():
-        return None
-    with open(meta_path) as fh:
-        return json.load(fh)
 
 
 def _manifest_entry(directory: Path, name: str) -> dict:
@@ -172,18 +159,18 @@ def save_index(index, directory: str | Path,
     if index.tree._dirty:
         index.tree.flush()
 
-    previous = _read_meta(directory)
+    previous = read_json(directory / "meta.json")
     generation = (int(previous.get("generation", 0)) + 1
                   if previous else 0)
     names = {role: pattern.format(g=generation)
              for role, pattern in _ROLE_PATTERNS.items()}
 
     save_disk(index.data_disk, directory / names["data"])
-    _maybe_crash("data-written", crash_point)
+    maybe_crash("data-written", crash_point)
     save_disk(index.index_disk, directory / names["tree"])
-    _maybe_crash("tree-written", crash_point)
+    maybe_crash("tree-written", crash_point)
     _save_order(index.order, directory / names["order"])
-    _maybe_crash("order-written", crash_point)
+    maybe_crash("order-written", crash_point)
     # Aggregate models are optional — only a fitted index writes the
     # ``agg`` generation file (and its manifest entry / meta block).
     models = getattr(index, "aggregate_models", None)
@@ -220,16 +207,9 @@ def save_index(index, directory: str | Path,
     if models is not None:
         meta["aggregate"] = {"degree": models.degree,
                              "weight": models.weight}
-    _maybe_crash("pre-commit", crash_point)
-    tmp = directory / "meta.json.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(meta, fh, indent=1)
-        fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, directory / "meta.json")
-    fsync_dir(directory)
-    _maybe_crash("post-commit", crash_point)
+    maybe_crash("pre-commit", crash_point)
+    commit_file(directory, "meta.json", json.dumps(meta, indent=1) + "\n")
+    maybe_crash("post-commit", crash_point)
     _collect_garbage(directory, keep=set(names.values()))
     # The committed generation contains every applied update, so this
     # save is a WAL checkpoint: truncate the log.  A crash between the
@@ -261,7 +241,7 @@ def load_index(directory: str | Path, cache_pages: int = 0,
     state as-is and leaves the log untouched.
     """
     directory = Path(directory)
-    meta = _read_meta(directory)
+    meta = read_json(directory / "meta.json")
     if meta is None:
         raise PersistError(f"{directory}: no meta.json — not an index "
                            f"directory")
@@ -293,36 +273,33 @@ def load_index(directory: str | Path, cache_pages: int = 0,
                     f"{path}: whole-file checksum mismatch — run "
                     f"'python -m repro scrub {directory}' for details")
 
+    # Cell record file.
+    stats = stats if stats is not None else IOStats()
+    try:
+        data_disk = load_disk(directory / files["data"]["name"],
+                              stats=stats, name="data", verify=verify)
+    except SnapshotError as exc:
+        raise PersistError(str(exc)) from exc
+
     from .grouped import GroupedIntervalIndex
-    index = GroupedIntervalIndex.__new__(GroupedIntervalIndex)
-    index.name = meta["method"]
-    index.field = None
-    index.field_type = field_type
-    index.stats = stats if stats is not None else IOStats()
-    index.maint_stats = IOStats()
-    index.wal = None
-    index._updated = False
-    index._stat_cache = {}
+    from .planner import CostConstants, PlannedIndex
+    if meta["method"] == PlannedIndex.name:
+        # A planner keeps planning after a reload, with default costs;
+        # the curve that ordered the cells is not in the manifest.
+        index = PlannedIndex.__new__(PlannedIndex)
+        index.costs = CostConstants()
+        index.last_plan = None
+        index.curve = None
+    else:
+        index = GroupedIntervalIndex.__new__(GroupedIntervalIndex)
+        index.name = meta["method"]
+    index._init_state(None, field_type, stats=stats,
+                      page_size=data_disk.page_size)
+    index.data_disk = data_disk
     index.grouping = _grouping_from_meta(meta.get("grouping"))
     built_costs = meta.get("built_costs")
     if built_costs is not None:
         index._built_costs = [float(c) for c in built_costs]
-    index.retry_policy = None
-    index.disk_backend = DiskManager
-    index._fault_mode = "raise"
-    index._query_faults = []
-    from ..obs.trace import NULL_TRACER
-    index.tracer = NULL_TRACER
-
-    # Cell record file.
-    from ..storage.snapshot import SnapshotError
-    try:
-        index.data_disk = load_disk(directory / files["data"]["name"],
-                                    stats=index.stats, name="data",
-                                    verify=verify)
-    except SnapshotError as exc:
-        raise PersistError(str(exc)) from exc
-    index.page_size = index.data_disk.page_size
     dtype = _dtype_from_descr(meta["record_dtype"])
     store = RecordStore.__new__(RecordStore)
     store.disk = index.data_disk

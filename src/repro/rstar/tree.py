@@ -83,11 +83,6 @@ class RStarTree:
         """Number of levels (1 = a single leaf root)."""
         return self._height
 
-    @property
-    def num_nodes(self) -> int:
-        """Number of live nodes."""
-        return len(self._nodes)
-
     def insert(self, rect: Rect, ident: int) -> None:
         """Insert a rectangle with an opaque integer id."""
         self._require_dim(rect)
@@ -507,10 +502,6 @@ class RStarTree:
         node = Node(page_id, is_leaf)
         self._nodes[page_id] = node
         return node
-
-    def _read_accounted(self, page_id: int) -> Node:
-        data = self.pool.read(page_id)
-        return Node.from_bytes(page_id, data, self.dim)
 
     def _packing_order_arrays(self, lows: np.ndarray,
                               highs: np.ndarray) -> np.ndarray:

@@ -21,12 +21,13 @@ sharding must never change an answer — and rests on three invariants:
   so the set of data pages any query touches is the unsharded set,
   merely distributed.
 
-Each shard is wrapped in its own :class:`~repro.core.facade.EngineFacade`
-handle, so it keeps a private WAL, compaction schedule, IOStats, and
-buffer pools; the coordinator aggregates them behind
-:class:`ValueIndex`-shaped shims (``store``/``pool``) for the facade and
-batch engines.  Scatter-gather runs in-process by default and across
-forked worker processes under :meth:`ShardedEngine.workers`.
+Each shard is an ordinary index with its own WAL, compaction schedule,
+IOStats and buffer pools.  :meth:`ShardedEngine.pools` lists every
+shard's real pools, so the facade and the batch engines lend, restore
+and attribute each pool on its own; the coordinator's ``store`` is a
+thin shim summing the shard stores.  Scatter-gather runs in-process by
+default and across forked worker processes under
+:meth:`ShardedEngine.workers`.
 
 Rebalancing (:meth:`ShardedEngine.rebalance`) splits a shard whose size
 or §3.1.2 cost drift crosses a threshold and merges undersized
@@ -42,23 +43,18 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core.base import (FaultMode, PAGE_SIZE, ValueIndex,
+from ..core.base import (FilterStep, PAGE_SIZE, ValueIndex,
                          require_finite_records)
-from ..core.cost import CostBasedGrouping, group_cells
-from ..core.facade import EngineFacade
+from ..core.cost import default_grouping, group_cells
 from ..core.grouped import GroupedIntervalIndex
 from ..core.iall import IAllIndex
-from ..core.ihilbert import (default_curve_order, make_curve,
-                             centroid_grid_coords)
+from ..core.ihilbert import curve_keys, default_curve_order, make_curve
 from ..core.linearscan import LinearScanIndex
 from ..core.persist import load_index, save_index
 from ..core.subfield import Subfield
 from ..field.base import Field
-from ..geometry import Rect
 from ..obs.trace import NULL_TRACER
-from ..rstar import RStarTree
-from ..storage import (DiskManager, IOStats, PAGE_HEADER_SIZE, PoolCounters,
-                       TenantCounters)
+from ..storage import DiskManager, IOStats, PAGE_HEADER_SIZE
 from ..storage.remote import SimulatedObjectStore, remote_backend
 from .field import shard_field_view
 from .shardmap import (ShardMap, aligned_cut, build_shard_map,
@@ -92,113 +88,13 @@ def _canonical_method(method: str) -> str:
     return name
 
 
-# -- aggregate shims ----------------------------------------------------------
-
-class _FanoutPool:
-    """Broadcast/aggregate view over every pool of every shard.
-
-    Satisfies the slice of the :class:`~repro.storage.buffer.BufferPool`
-    API the facade and batch engines drive: capacity lending (resize is
-    broadcast, capacity reads uniform), counter aggregation, tenant
-    attribution, and cache clearing.
-    """
-
-    def __init__(self, engine: "ShardedEngine") -> None:
-        self._engine = engine
-
-    def _pools(self) -> list:
-        return [pool for rt in self._engine.shards for pool in rt.pools()]
-
-    @property
-    def capacity(self) -> int:
-        pools = self._pools()
-        return max((p.capacity for p in pools), default=0)
-
-    def __len__(self) -> int:
-        return sum(len(p) for p in self._pools())
-
-    # Raw counter attributes, mirrored from BufferPool (the tracer and
-    # exporters read these directly rather than through counters()).
-    @property
-    def hits(self) -> int:
-        return sum(p.hits for p in self._pools())
-
-    @property
-    def misses(self) -> int:
-        return sum(p.misses for p in self._pools())
-
-    @property
-    def evictions(self) -> int:
-        return sum(p.evictions for p in self._pools())
-
-    def resize(self, capacity: int) -> None:
-        for pool in self._pools():
-            pool.resize(capacity)
-
-    def clear(self) -> None:
-        for pool in self._pools():
-            pool.clear()
-
-    def invalidate(self, page_id: int) -> None:
-        # Page ids are per shard file; a global invalidation hint can
-        # only be conservative.
-        for pool in self._pools():
-            pool.invalidate(page_id)
-
-    def counters(self) -> PoolCounters:
-        total = PoolCounters()
-        for pool in self._pools():
-            total = total + pool.counters()
-        return total
-
-    def reset_counters(self) -> None:
-        for pool in self._pools():
-            pool.reset_counters()
-
-    def set_tenant(self, tenant: str | None) -> str | None:
-        previous = None
-        for k, pool in enumerate(self._pools()):
-            saved = pool.set_tenant(tenant)
-            if k == 0:
-                previous = saved
-        return previous
-
-    def tenant_counters(self) -> dict[str, TenantCounters]:
-        merged: dict[str, TenantCounters] = {}
-        for pool in self._pools():
-            for tenant, counters in pool.tenant_counters().items():
-                have = merged.get(tenant, TenantCounters())
-                merged[tenant] = TenantCounters(
-                    hits=have.hits + counters.hits,
-                    misses=have.misses + counters.misses,
-                    bytes_read=have.bytes_read + counters.bytes_read)
-        return merged
-
-    def reset_tenant_counters(self) -> None:
-        for pool in self._pools():
-            pool.reset_tenant_counters()
-
-    def tenant_residency(self) -> dict:
-        merged: dict = {}
-        for pool in self._pools():
-            _merge_numeric(merged, pool.tenant_residency())
-        return merged
-
-
-def _merge_numeric(into: dict, other: dict) -> None:
-    for key, value in other.items():
-        if isinstance(value, dict):
-            _merge_numeric(into.setdefault(key, {}), value)
-        else:
-            into[key] = into.get(key, 0) + value
-
+# -- the store shim ----------------------------------------------------------
 
 class _AggregateStore:
     """The coordinator's ``index.store`` shim: sums over shard stores."""
 
     def __init__(self, engine: "ShardedEngine") -> None:
         self._engine = engine
-        self.pool = _FanoutPool(engine)
 
     @property
     def dtype(self) -> np.dtype:
@@ -216,44 +112,41 @@ class _AggregateStore:
         return sum(rt.index.store.num_pages for rt in self._engine.shards)
 
     def scan(self):
-        """Pages of every shard store, in shard (= global Hilbert) order."""
+        """Pages of every shard store, in shard (= global Hilbert) order.
+
+        A metadata scan: each shard's counters roll back after its pages.
+        """
+        self._engine._require_local("statistics")
         for rt in self._engine.shards:
-            yield from rt.index.store.scan()
+            index = rt.index
+            before = index.stats.snapshot()
+            try:
+                yield from index.store.scan()
+            finally:
+                index.stats.restore(before)
 
 
 # -- per-shard state ----------------------------------------------------------
 
 class ShardRuntime:
-    """One shard: its spec, index, and private engine facade.
+    """One shard: its spec, stable uid, and index.
 
-    The facade handle is the shard's operational identity — its own
-    WAL attachment, IOStats, buffer pools, tenant accounting, and
-    compaction all live behind it, exactly as a single-field engine's
-    would (ISSUE: each shard is a miniature engine, not a slice of a
-    shared one).
+    The index is the shard's operational identity — its own WAL
+    attachment, IOStats, buffer pools and compaction, exactly as a
+    single-field engine's would be.
     """
 
-    __slots__ = ("spec", "uid", "index", "facade")
+    __slots__ = ("spec", "uid", "index")
 
     def __init__(self, spec, uid: int, index: ValueIndex) -> None:
         self.spec = spec
         self.uid = uid
         self.index = index
-        self.facade = EngineFacade(default_workers=1)
-        self.facade.open_field(self.name, index)
 
     @property
     def name(self) -> str:
         """Stable shard name (``shard-<uid>``); uids survive splits."""
         return f"shard-{self.uid}"
-
-    def pools(self) -> list:
-        """This shard's buffer pools (data store + R*-tree, if any)."""
-        return self.index.pools()
-
-    def stats(self) -> dict:
-        """The facade's serving statistics for this shard."""
-        return self.facade.stats(self.name)
 
 
 class _ShardGroupedIndex(GroupedIntervalIndex):
@@ -296,20 +189,10 @@ class _ShardGroupedIndex(GroupedIntervalIndex):
         self._built_costs = [
             self._sf_cost(sf, si)
             for sf, si in zip(self.subfields, self._sf_si)]
-        if not changed:
-            return
-        # Rebuild the 1-D R*-tree over the widened intervals (the
-        # compact() rebuild idiom: fresh disk, same injector and cache).
-        injector = self.index_disk.fault_injector
-        cache_pages = self.tree.pool.capacity
-        self.index_disk = self._make_disk("sf-tree")
-        self.index_disk.fault_injector = injector
-        self.tree = RStarTree(dim=1, disk=self.index_disk,
-                              cache_pages=cache_pages)
-        self.tree.bulk_load(
-            [Rect.from_interval(sf.lo, sf.hi) for sf in self.subfields],
-            range(len(self.subfields)))
-        self.tree.flush()
+        if changed:
+            # The widened intervals need a fresh subfield tree.
+            self._build_tree(self.tree.pool.capacity,
+                             self.index_disk.fault_injector)
 
 
 # -- the coordinator ----------------------------------------------------------
@@ -362,20 +245,16 @@ class ShardedEngine(ValueIndex):
             raise ShardError(
                 f"{type(field).__name__} records carry no 'cell_id' "
                 f"column; the gather merge key requires one")
-        self._init_protocol(field, type(field), method, cache_pages,
-                            page_size, retry_policy, remote_store,
-                            remote_cache_pages)
+        self._init_state(field, type(field), page_size=page_size,
+                         retry_policy=retry_policy)
+        self._init_coordinator(method, cache_pages, remote_store,
+                               remote_cache_pages)
 
         dim = field.cell_centroids().shape[1]
         curve_obj = make_curve(curve, default_curve_order(field, dim), dim)
-        coords = centroid_grid_coords(field.cell_centroids(),
-                                      curve_obj.side, field.bounds)
-        keys = np.asarray(curve_obj.indices(coords), dtype=np.int64)
+        keys = curve_keys(field, curve_obj)
         order = np.argsort(keys, kind="stable")
-        self._order = order
-        self._inverse = np.empty(len(order), dtype=np.int64)
-        self._inverse[order] = np.arange(len(order))
-        self._sorted_keys = keys[order]
+        self._adopt_order(order, keys)
         quantum = max(1, (page_size - PAGE_HEADER_SIZE)
                       // field.record_dtype.itemsize)
         self.shard_map = build_shard_map(
@@ -385,21 +264,16 @@ class ShardedEngine(ValueIndex):
 
         records = field.cell_records()
         global_groups = global_intervals = None
-        self._grouping = None
         if method == "I-Hilbert":
             # One global §3.1.2 pass — identical inputs to the
             # unsharded IHilbertIndex build — then clip at the cuts.
             vmins = records["vmin"][order].astype(np.float64)
             vmaxs = records["vmax"][order].astype(np.float64)
-            span = field.value_range.length
-            self._grouping = CostBasedGrouping(
-                unit=span if span > 0 else 1.0, avg_query=0.5 * span)
             global_groups = group_cells(vmins, vmaxs, self._grouping)
             global_intervals = [
                 (float(vmins[s:e + 1].min()), float(vmaxs[s:e + 1].max()))
                 for s, e in global_groups]
 
-        self.shards: list[ShardRuntime] = []
         for spec in self.shard_map.shards:
             view = shard_field_view(field, spec,
                                     order[spec.start:spec.stop])
@@ -411,35 +285,23 @@ class ShardedEngine(ValueIndex):
                                                   groups=groups,
                                                   forced=forced))
 
-        self._map_dir = Path(map_dir) if map_dir is not None else None
-        if self._map_dir is not None:
+        if map_dir is not None:
+            self._map_dir = Path(map_dir)
             self._commit_map()
 
     # -- construction internals ---------------------------------------------
 
-    def _init_protocol(self, field, field_type, method, cache_pages,
-                       page_size, retry_policy, remote_store,
-                       remote_cache_pages) -> None:
-        """Set up the ``ValueIndex`` protocol surface by hand.
+    def _init_coordinator(self, method: str, cache_pages: int,
+                          remote_store: SimulatedObjectStore | None = None,
+                          remote_cache_pages: int = 64) -> None:
+        """Coordinator state common to a build and a reload.
 
-        Deliberately no ``super().__init__``: the coordinator owns no
-        disk of its own — its ``store`` is an aggregate over the
-        shards — but everything the query pipeline, batch engines, and
-        facade touch (stats, tracer, fault mode, store/pool shims) is
-        provided here.
+        The ``ValueIndex`` protocol state comes from ``_init_state``;
+        the coordinator owns no page file of its own — its ``store`` is
+        a shim over the shard stores and :meth:`pools` lists theirs.
         """
-        self.field = field
-        self.field_type = field_type
         self.method = method
         self.name = f"Sharded[{method}]"
-        self.stats = IOStats()
-        self.maint_stats = IOStats()
-        self.wal = None
-        self._updated = False
-        self._stat_cache: dict[int, object] = {}
-        self.tracer = NULL_TRACER
-        self.page_size = page_size
-        self.retry_policy = retry_policy
         self.cache_pages = cache_pages
         self.remote_store = remote_store
         self.remote_cache_pages = remote_cache_pages
@@ -447,23 +309,30 @@ class ShardedEngine(ValueIndex):
         #: keeps its frames under ``<prefix>/shard-<uid>``.
         self._remote_prefix = (remote_store.claim()
                                if remote_store is not None else None)
-        self._fault_mode: FaultMode = "raise"
-        self._query_faults = []
-        self.shards = []
+        self.shards: list[ShardRuntime] = []
         self.store = _AggregateStore(self)
         self._gather_lock = threading.RLock()
         self._workers = None
         self._next_uid = 0
-        self._map_dir = None
+        self._map_dir: Path | None = None
         self._wal_dir: Path | None = None
         self._injector = None
-        self._order = None
-        self._inverse = None
-        self._sorted_keys = None
-        self._grouping = None
+        self._grouping = default_grouping(
+            self.field.value_range.length if self.field is not None
+            else 1.0)
         #: Per-shard IOStats deltas of the most recent gather — the
         #: bench derives the simulated scale-out speedup from these.
         self.last_shard_io: list[IOStats] = []
+
+    def _adopt_order(self, order: np.ndarray,
+                     keys: np.ndarray | None = None) -> None:
+        """Install the global clustered order (position → cell id), its
+        inverse, and — given every cell's curve key — the sorted keys
+        that rebalance splits cut at."""
+        self._order = order
+        self._inverse = np.empty(len(order), dtype=np.int64)
+        self._inverse[order] = np.arange(len(order))
+        self._sorted_keys = keys[order] if keys is not None else None
 
     def _shard_backend(self, uid: int):
         if self.remote_store is not None:
@@ -542,9 +411,10 @@ class ShardedEngine(ValueIndex):
 
     def _fetch_one(self, rt: ShardRuntime, lo: float, hi: float,
                    per_shard: list) -> np.ndarray:
-        """One shard's filtering step, bracketed like a batch group.
+        """One shard's filtering step, in the shard's own
+        :class:`~repro.core.base.FilterStep` under the gather's mode.
 
-        The shard's own IOStats delta is folded into the coordinator's
+        The step's IOStats delta is folded into the coordinator's
         counters and its per-page faults into the coordinator's query
         fault list; a skip-mode shard degrades alone, it never poisons
         the gather.  The fold runs in a ``finally`` so the global
@@ -552,19 +422,14 @@ class ShardedEngine(ValueIndex):
         the scatter midway.
         """
         index = rt.index
-        index._fault_mode = self._fault_mode
-        index._query_faults = []
+        step = FilterStep(index, self._fault_mode)
         index.tracer = self.tracer   # shard spans nest under the gather
-        before = index.stats.snapshot()
         try:
-            return index._candidates(lo, hi)
+            return step.run(lo, hi)
         finally:
-            delta = index.stats.diff(before)
-            self.stats += delta
-            per_shard.append(delta)
-            self._query_faults.extend(index._query_faults)
-            index._fault_mode = "raise"
-            index._query_faults = []
+            self.stats += step.io
+            per_shard.append(step.io)
+            self._query_faults.extend(step.faults)
             index.tracer = NULL_TRACER
 
     # -- process transport ---------------------------------------------------
@@ -760,29 +625,6 @@ class ShardedEngine(ValueIndex):
             "per_shard": per_shard,
         }
 
-    def statistics(self, bins: int = 64):
-        cached = self._stat_cache.get(bins)
-        if cached is not None:
-            return cached
-        from ..core.statistics import FieldStatistics
-        if self.field is not None and not self._updated:
-            result = FieldStatistics.from_field(self.field, bins=bins)
-        else:
-            vmins, vmaxs = [], []
-            self._require_local("statistics")
-            for rt in self.shards:
-                index = rt.index
-                before = index.stats.snapshot()
-                for page in index.store.scan():
-                    vmins.append(page["vmin"].astype(np.float64))
-                    vmaxs.append(page["vmax"].astype(np.float64))
-                index.stats.restore(before)
-                index.clear_caches()
-            result = FieldStatistics.from_intervals(
-                np.concatenate(vmins), np.concatenate(vmaxs), bins=bins)
-        self._stat_cache[bins] = result
-        return result
-
     # -- rebalancing ---------------------------------------------------------
 
     def rebalance(self, *, max_cells: int | None = None,
@@ -905,7 +747,6 @@ class ShardedEngine(ValueIndex):
     def _retire(self, rt: ShardRuntime) -> None:
         if rt.index.wal is not None:
             rt.index.wal.close()
-        rt.facade.close_field(rt.name)
 
     def _adopt_map(self, new_map: ShardMap) -> None:
         self.shard_map = new_map
@@ -961,42 +802,27 @@ class ShardedEngine(ValueIndex):
         """
         directory = Path(directory)
         smap, extra = load_shard_map(directory)
+        shards = [ShardRuntime(spec, uid, load_index(directory / name,
+                                                     cache_pages=cache_pages))
+                  for spec, name, uid in zip(smap.shards, extra["shards"],
+                                             extra["uids"])]
+        first = shards[0].index
         engine = cls.__new__(cls)
-        engine._init_protocol(field, None, extra["method"], cache_pages,
-                              PAGE_SIZE, None, None, 64)
+        engine._init_state(field, first.field_type,
+                           page_size=first.page_size)
+        engine._init_coordinator(extra["method"], cache_pages)
+        engine.shards = shards
         engine.shard_map = smap
         engine._next_uid = max(extra["uids"]) + 1
-        order_parts = []
-        for spec, name, uid in zip(smap.shards, extra["shards"],
-                                   extra["uids"]):
-            index = load_index(directory / name, cache_pages=cache_pages)
-            rt = ShardRuntime(spec, uid, index)
-            engine.shards.append(rt)
-            before = index.stats.snapshot()
-            ids = np.concatenate([
-                page["cell_id"].astype(np.int64)
-                for page in index.store.scan()]) if len(index.store) \
-                else np.empty(0, dtype=np.int64)
-            index.stats.restore(before)
-            index.clear_caches()
-            order_parts.append(ids)
-        engine._order = np.concatenate(order_parts)
-        engine.field_type = engine.shards[0].index.field_type
-        engine._inverse = np.empty(len(engine._order), dtype=np.int64)
-        engine._inverse[engine._order] = np.arange(len(engine._order))
-        engine.page_size = engine.shards[0].index.page_size
+        order = np.concatenate([page["cell_id"].astype(np.int64)
+                                for page in engine.store.scan()])
+        engine.clear_caches()
+        keys = None
         if field is not None:
             dim = field.cell_centroids().shape[1]
-            curve_obj = make_curve(smap.curve_name, smap.curve_order, dim)
-            coords = centroid_grid_coords(field.cell_centroids(),
-                                          curve_obj.side, field.bounds)
-            keys = np.asarray(curve_obj.indices(coords), dtype=np.int64)
-            engine._sorted_keys = keys[engine._order]
-            span = field.value_range.length
-        else:
-            span = 1.0
-        engine._grouping = CostBasedGrouping(
-            unit=span if span > 0 else 1.0, avg_query=0.5 * span)
+            keys = curve_keys(field, make_curve(smap.curve_name,
+                                                smap.curve_order, dim))
+        engine._adopt_order(order, keys)
         engine._map_dir = directory
         engine._updated = True   # ground truth is the stores now
         return engine
@@ -1026,10 +852,14 @@ class ShardedEngine(ValueIndex):
             "tiered": self.remote_store is not None,
         }
 
-    def shard_stats(self) -> list[dict]:
-        """Each shard facade's serving statistics, in shard order."""
-        self._require_local("shard_stats")
-        return [rt.stats() for rt in self.shards]
+    def pools(self) -> list:
+        """Every shard's buffer pools, in shard order.
+
+        Evaluated per call, so it follows rebalances; the batch engine,
+        the facade's tenancy bracket and the tracer lend, restore and
+        read each pool on its own.
+        """
+        return [pool for rt in self.shards for pool in rt.index.pools()]
 
     def remote_counters(self) -> dict:
         """Per-shard and total remote-tier traffic (tiered engines)."""

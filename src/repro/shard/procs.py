@@ -20,6 +20,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from ..core.base import FilterStep
 from ..storage import IOStats, PageFault
 from ..storage.codec import decode_records
 
@@ -101,20 +102,14 @@ def _worker_main(conn, index) -> None:
             conn.send(("err", "ProtocolError", f"unknown {request[0]!r}"))
             continue
         _, lo, hi, fault_mode = request
-        index._fault_mode = fault_mode
-        index._query_faults = []
-        before = index.stats.snapshot()
+        step = FilterStep(index, fault_mode)
         try:
-            records = index._candidates(lo, hi)
+            records = step.run(lo, hi)
         except Exception as exc:   # typed errors flatten at the boundary
             conn.send(("err", type(exc).__name__, str(exc)))
-            index._fault_mode = "raise"
             continue
-        delta = index.stats.diff(before)
         faults = [(f.disk, f.page_id, f.kind, f.detail)
-                  for f in index._query_faults]
-        index._fault_mode = "raise"
-        index._query_faults = []
+                  for f in step.faults]
         conn.send(("ok", np.ascontiguousarray(records).tobytes(),
-                   asdict(delta), faults))
+                   asdict(step.io), faults))
     conn.close()

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from ..storage.scrub import file_sha256
-from ..storage.snapshot import fsync_dir
+from ..storage.snapshot import commit_file, read_json
 
 SHARD_MAP_FORMAT = 1
 _META_NAME = "shard-meta.json"
@@ -333,7 +333,7 @@ def save_shard_map(directory: str | Path, smap: ShardMap,
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    previous = _read_meta(directory)
+    previous = read_json(directory / _META_NAME)
     generation = (previous["generation"] + 1) if previous else 1
     map_name = f"shard-map-{generation}.json"
     payload = json.dumps(smap.to_dict(), indent=2, sort_keys=True)
@@ -350,13 +350,8 @@ def save_shard_map(directory: str | Path, smap: ShardMap,
             },
             "num_shards": smap.num_shards,
             "extra": extra or {}}
-    tmp = directory / (_META_NAME + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, directory / _META_NAME)
-    fsync_dir(directory)
+    commit_file(directory, _META_NAME,
+                json.dumps(meta, indent=2, sort_keys=True))
     _collect_garbage(directory, keep={map_name, _META_NAME})
     return generation
 
@@ -369,7 +364,7 @@ def load_shard_map(directory: str | Path) -> tuple[ShardMap, dict]:
     runs implicitly).
     """
     directory = Path(directory)
-    meta = _read_meta(directory)
+    meta = read_json(directory / _META_NAME)
     if meta is None:
         raise ShardMapError(f"no committed shard map under {directory}")
     entry = meta["shard_map"]
@@ -388,14 +383,6 @@ def load_shard_map(directory: str | Path) -> tuple[ShardMap, dict]:
     with open(path, encoding="utf-8") as fh:
         smap = ShardMap.from_dict(json.load(fh))
     return smap, meta.get("extra", {})
-
-
-def _read_meta(directory: Path) -> dict | None:
-    path = directory / _META_NAME
-    if not path.exists():
-        return None
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _collect_garbage(directory: Path, keep: set[str]) -> None:

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..obs.metrics import REGISTRY
-from .snapshot import SnapshotError, fsync_dir, verify_snapshot
+from .snapshot import SnapshotError, commit_file, read_json, verify_snapshot
 
 _SCRUBBED = REGISTRY.counter(
     "repro_scrub_pages_total",
@@ -99,12 +98,11 @@ class ScrubReport:
 
 
 def _read_manifest(directory: Path) -> dict:
-    meta_path = directory / "meta.json"
-    if not meta_path.exists():
+    manifest = read_json(directory / "meta.json")
+    if manifest is None:
         raise FileNotFoundError(
             f"{directory}: no meta.json — not an index directory")
-    with open(meta_path) as fh:
-        return json.load(fh)
+    return manifest
 
 
 def _scrub_file(directory: Path, role: str, entry: dict) -> FileStatus:
@@ -228,13 +226,7 @@ def repair_index(directory: str | Path) -> tuple[ScrubReport, list[str]]:
         actions.append(f"recomputed manifest entry for {status.name}")
         changed = True
     if changed:
-        tmp = directory / "meta.json.tmp"
-        with open(tmp, "w") as fh:
-            json.dump(manifest, fh, indent=1)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, directory / "meta.json")
-        fsync_dir(directory)
+        commit_file(directory, "meta.json",
+                    json.dumps(manifest, indent=1) + "\n")
         report = scrub_index(directory)
     return report, actions

@@ -21,11 +21,12 @@ the ``crash_point`` parameter, which raises
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 from pathlib import Path
 
-from .disk import DiskManager, PAGE_HEADER_SIZE, page_checksum, parse_frame
+from .disk import DiskManager, page_checksum, parse_frame
 from .faults import CorruptPageError, SimulatedCrash
 from .stats import IOStats
 
@@ -41,7 +42,9 @@ class SnapshotError(Exception):
     """Raised for malformed or incompatible snapshot files."""
 
 
-def _maybe_crash(point: str, crash_point: str | None) -> None:
+def maybe_crash(point: str, crash_point: str | None) -> None:
+    """Raise :class:`~repro.storage.faults.SimulatedCrash` when the
+    caller's ``crash_point`` (tests only) names this ``point``."""
     if crash_point == point:
         raise SimulatedCrash(point)
 
@@ -53,6 +56,32 @@ def fsync_dir(directory: str | Path) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def commit_file(directory: str | Path, name: str, text: str) -> None:
+    """Atomically replace ``directory/name`` with ``text``.
+
+    Write a temporary sibling, flush and fsync it, rename it over the
+    target, then fsync the directory.  The rename is the commit point:
+    a crash leaves the complete old file or the complete new one.
+    """
+    directory = Path(directory)
+    tmp = directory / (name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, directory / name)
+    fsync_dir(directory)
+
+
+def read_json(path: str | Path) -> dict | None:
+    """The JSON document at ``path``, or None when the file is absent."""
+    path = Path(path)
+    if not path.exists():
+        return None
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def save_disk(disk: DiskManager, path: str | Path,
@@ -77,11 +106,11 @@ def save_disk(disk: DiskManager, path: str | Path,
         for page_id in range(disk.num_pages):
             fh.write(disk.frame_bytes(page_id))
         fh.flush()
-        _maybe_crash("temp-written", crash_point)
+        maybe_crash("temp-written", crash_point)
         os.fsync(fh.fileno())
-    _maybe_crash("pre-rename", crash_point)
+    maybe_crash("pre-rename", crash_point)
     os.replace(tmp, path)
-    _maybe_crash("post-rename", crash_point)
+    maybe_crash("post-rename", crash_point)
     fsync_dir(path.parent)
     return _HEADER.size + disk.num_pages * disk.page_size
 

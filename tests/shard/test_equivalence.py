@@ -32,6 +32,7 @@ import pytest
 
 from repro.core import (BatchQueryEngine, IAllIndex, IHilbertIndex,
                         LinearScanIndex, ValueQuery)
+from repro.core.base import FilterStep
 from repro.core.batch import run_sequential
 from repro.shard import ShardedEngine
 from repro.storage import (CorruptPageError, PAGE_HEADER_SIZE,
@@ -180,12 +181,8 @@ def test_fault_schedule_equivalence(field, n_shards):
     assert len(rb.faults) == len(rs.faults) == 1
     assert rb.candidate_count == rs.candidate_count
     assert rb.area == rs.area
-    base._fault_mode = engine._fault_mode = "skip"
-    try:
-        cb = base._candidates(query.lo, query.hi)
-        cs = engine._candidates(query.lo, query.hi)
-    finally:
-        base._fault_mode = engine._fault_mode = "raise"
+    cb = FilterStep(base, "skip").run(query.lo, query.hi)
+    cs = FilterStep(engine, "skip").run(query.lo, query.hi)
     assert sorted(cb["cell_id"]) == sorted(cs["cell_id"])
 
 
@@ -199,12 +196,8 @@ def test_skip_mode_degrades_one_shard_without_poisoning_gather(field):
     assert result.degraded
     assert len(result.faults) == 1
     # Every cell of every healthy shard is still in the answer.
-    engine._fault_mode = "skip"
-    try:
-        survivors = set(
-            engine._candidates(vr.lo, vr.hi)["cell_id"].tolist())
-    finally:
-        engine._fault_mode = "raise"
+    survivors = set(
+        FilterStep(engine, "skip").run(vr.lo, vr.hi)["cell_id"].tolist())
     for rt in engine.shards:
         if rt is victim:
             continue

@@ -76,14 +76,16 @@ def test_point_outside_domain(heights_file, capsys):
 def test_unsupported_field_file(tmp_path):
     bogus = tmp_path / "field.txt"
     bogus.write_text("nope")
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit, match=r"field\.txt: unsupported field "
+                       r"file \(use \.npy heights or \.npz TIN\)$"):
         main(["build", str(bogus), str(tmp_path / "idx")])
 
 
 def test_tin_archive_missing_arrays(tmp_path):
     path = tmp_path / "bad.npz"
     np.savez(path, points=np.zeros((3, 2)))
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit, match=r"bad\.npz: TIN archives need "
+                       r"'points' and 'values' arrays"):
         main(["build", str(path), str(tmp_path / "idx")])
 
 

@@ -166,6 +166,47 @@ def test_stats_shape(facade):
     assert set(everything["fields"]) == {"terrain"}
 
 
+def _mount(kind, dem, **kwargs):
+    if kind == "sharded":
+        from repro.shard import ShardedEngine
+        return ShardedEngine(dem, n_shards=2, method="I-Hilbert", **kwargs)
+    return IHilbertIndex(dem, **kwargs)
+
+
+@pytest.mark.parametrize("kind", ["plain", "sharded"])
+def test_stats_pool_block_covers_every_pool(kind, smooth_dem):
+    facade = EngineFacade()
+    index = _mount(kind, smooth_dem, cache_pages=64)
+    facade.open_field("terrain", index)
+    vr = smooth_dem.value_range
+    facade.query("terrain", vr.lo, vr.hi, tenant="alice")
+    facade.query("terrain", vr.lo, (vr.lo + vr.hi) / 2, tenant="bob")
+    stats = facade.stats("terrain")
+    pools = index.pools()
+    # Every data and R*-tree pool holds frames, so each one counts.
+    assert all(len(p) for p in pools)
+    residency = stats["residency"]
+    assert stats["pool"]["resident_pages"] \
+        == residency["resident_pages"] == sum(len(p) for p in pools)
+    assert sum(t["exclusive_pages"] for t in residency["tenants"].values()) \
+        + residency["shared_pages"] + residency["unattributed_pages"] \
+        == residency["resident_pages"]
+    assert stats["pool"]["capacity"] == 64
+    assert set(residency["tenants"]) == set(stats["tenants"]) \
+        == {"alice", "bob"}
+
+
+def test_sharded_batch_restores_each_pools_own_capacity(smooth_dem):
+    engine = _mount("sharded", smooth_dem)
+    facade = EngineFacade()
+    facade.open_field("terrain", engine)
+    engine.shards[0].index.store.pool.resize(8)
+    assert [p.capacity for p in engine.pools()] == [8, 0, 0, 0]
+    vr = smooth_dem.value_range
+    facade.batch("terrain", [(vr.lo, vr.hi)])
+    assert [p.capacity for p in engine.pools()] == [8, 0, 0, 0]
+
+
 def test_close_field_forgets(facade):
     facade.close_field("terrain")
     assert facade.field_names() == []

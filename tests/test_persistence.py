@@ -3,10 +3,12 @@
 import pytest
 
 from repro.core import (
+    EngineFacade,
     IHilbertIndex,
     IntervalQuadtreeIndex,
     LinearScanIndex,
     PersistError,
+    PlannedIndex,
     ValueQuery,
     load_index,
     save_index,
@@ -17,6 +19,7 @@ from repro.storage import (
     load_disk,
     save_disk,
 )
+from repro.synth import roseburg_like
 
 
 def test_disk_snapshot_roundtrip(tmp_path):
@@ -127,3 +130,21 @@ def test_loaded_index_has_no_field(tmp_path, smooth_dem):
     back = load_index(tmp_path / "idx")
     assert back.field is None
     assert back.field_type.__name__ == "DEMField"
+
+
+def test_reloaded_planner_keeps_planning(tmp_path):
+    field = roseburg_like(cells_per_side=32)
+    vr = field.value_range
+    query = ValueQuery(vr.lo, vr.hi)
+    index = PlannedIndex(field)
+    before = index.query(query)
+    save_index(index, tmp_path / "idx")
+    back = load_index(tmp_path / "idx")
+    after = back.query(query)
+    assert type(back) is PlannedIndex
+    assert back.last_plan.path == index.last_plan.path == "scan"
+    assert after.io.page_reads == before.io.page_reads
+    assert (after.candidate_count, after.area) \
+        == (before.candidate_count, before.area)
+    info = EngineFacade().open_field("terrain", tmp_path / "idx")
+    assert info["method"] == "I-Hilbert+planner"

@@ -25,16 +25,18 @@ from repro.core import (
     ValueQuery,
 )
 from repro.obs.metrics import REGISTRY
+from repro.shard import ShardedEngine
 from repro.storage import (
     CorruptPageError,
     FaultInjector,
     FaultSpec,
     PageFault,
     RetryPolicy,
+    SimulatedObjectStore,
     TransientIOError,
 )
 
-from .backends import BACKENDS, disk_backend
+from .backends import BACKENDS, REMOTE_CACHE_PAGES, disk_backend
 
 METHODS = {
     "LinearScan": LinearScanIndex,
@@ -421,17 +423,52 @@ def test_query_rejects_unknown_fault_mode(smooth_dem):
         index.query(_workloads(smooth_dem)[0], on_fault="ignore")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_fault_mode_is_reset_after_a_degraded_query(backend, smooth_dem):
-    index = LinearScanIndex(smooth_dem, disk_backend=disk_backend(backend))
-    pid = index.store.page_ids[0]
-    index.data_disk._flip_bit(pid, byte_index=1, bit=1)
-    q = _workloads(smooth_dem)[0]
-    index.query(q, on_fault="skip")
-    index.clear_caches()
-    # The skip mode must not leak into the next (default-mode) query.
-    with pytest.raises(CorruptPageError):
-        index.query(q)
+_RESET_CASES = [(entry, backend)
+                for entry in ("query", "batch-1", "batch-2", "sharded")
+                for backend in BACKENDS]
+
+
+@pytest.mark.parametrize(
+    "entry, backend", _RESET_CASES,
+    ids=[b if e == "query" else f"{e}-{b}" for e, b in _RESET_CASES])
+def test_fault_mode_is_reset_after_a_degraded_query(entry, backend,
+                                                    smooth_dem):
+    if entry == "sharded":
+        store = SimulatedObjectStore() if backend == "remote" else None
+        index = ShardedEngine(smooth_dem, n_shards=2, remote_store=store,
+                              remote_cache_pages=REMOTE_CACHE_PAGES)
+        indexes = [index] + [rt.index for rt in index.shards]
+    else:
+        index = LinearScanIndex(smooth_dem,
+                                disk_backend=disk_backend(backend))
+        indexes = [index]
+    victim = indexes[-1]
+    victim.data_disk._flip_bit(victim.store.page_ids[0], byte_index=1,
+                               bit=1)
+    if entry.startswith("batch"):
+        # Two disjoint queries: two groups, so two workers both run.
+        engine = BatchQueryEngine(index, workers=int(entry[-1]))
+        queries = _workloads(smooth_dem)[1:]
+
+        def run(**kwargs):
+            return engine.run(queries, **kwargs)
+    else:
+        def run(**kwargs):
+            return index.query(_workloads(smooth_dem)[0], **kwargs)
+
+    def assert_reset():
+        for ix in indexes:
+            assert (ix._fault_mode, ix._query_faults) == ("raise", [])
+
+    run(on_fault="skip")
+    assert_reset()
+    # Neither the skip mode nor an escaped raise-mode error leaks into
+    # the next default-mode call.
+    for _ in range(2):
+        index.clear_caches()
+        with pytest.raises(CorruptPageError):
+            run()
+        assert_reset()
 
 
 # -- batch engine ------------------------------------------------------------
@@ -550,12 +587,10 @@ def test_fault_counters_reach_the_registry(backend, smooth_dem):
 
 from repro.core.query import ValueQuery as _VQ  # noqa: E402
 from repro.field import DEMField  # noqa: E402
-from repro.shard import ShardedEngine  # noqa: E402
 from repro.storage import (  # noqa: E402
     NamespaceTakenError,
     RemoteDiskManager,
     RemoteFetchError,
-    SimulatedObjectStore,
     remote_backend,
 )
 
