@@ -291,6 +291,11 @@ class GroupedIntervalIndex(ValueIndex):
         R*-tree over the resulting subfield list.  Untouched subfields
         keep their boundaries; record pages are never rewritten.  All
         I/O is maintenance-accounted.
+
+        Aggregate models follow the subfields: untouched subfields keep
+        their rows, and only the subfields of re-clustered runs are
+        refitted, from the run blocks already read.  A model set out of
+        step with the subfield list is refitted in full.
         """
         self._ensure_cost_baseline()
         drifts = self.subfield_drifts()
@@ -303,6 +308,13 @@ class GroupedIntervalIndex(ValueIndex):
             return summary
         unit, _ = self._cost_params()
         policy = self._compaction_policy()
+        models = self.aggregate_models
+        in_step = (models is not None
+                   and models.num_subfields == len(self.subfields))
+        # Per new subfield: the old model row it keeps, or -1; and the
+        # (new id, cell block) of every re-clustered one.
+        rows: list[int] = []
+        refits: list[tuple[int, np.ndarray]] = []
         with self._maintenance():
             spans: list[tuple[float, float, int, int, float]] = []
             i = 0
@@ -311,6 +323,7 @@ class GroupedIntervalIndex(ValueIndex):
                     sf = self.subfields[i]
                     spans.append((sf.lo, sf.hi, sf.ptr_start, sf.ptr_end,
                                   self._sf_si[i]))
+                    rows.append(i)
                     i += 1
                     continue
                 j = i
@@ -323,6 +336,8 @@ class GroupedIntervalIndex(ValueIndex):
                 vmaxs = block["vmax"].astype(np.float64)
                 sizes = vmaxs - vmins + unit
                 for start, end in group_cells(vmins, vmaxs, policy):
+                    refits.append((len(spans), block[start:end + 1]))
+                    rows.append(-1)
                     spans.append((float(vmins[start:end + 1].min()),
                                   float(vmaxs[start:end + 1].max()),
                                   base + start, base + end,
@@ -340,10 +355,12 @@ class GroupedIntervalIndex(ValueIndex):
             self._build_tree(self.tree.pool.capacity,
                              self.index_disk.fault_injector)
         summary["subfields_after"] = len(self.subfields)
-        # Compaction moved subfield boundaries — the natural refit point
-        # for the aggregate models (ROADMAP item 3 / PolyFit).
-        if self.aggregate_models is not None:
-            self.fit_aggregate_models(degree=self.aggregate_models.degree)
+        if in_step:
+            self.aggregate_models = models = models.regroup(rows)
+            for sf_id, block in refits:
+                models.refit(self.field_type, sf_id, block)
+        elif models is not None:
+            self.fit_aggregate_models(degree=models.degree)
         if REGISTRY.enabled:
             _COMPACTIONS.inc(1, method=self.name)
             _STALENESS.set(self.staleness()["max_drift"], method=self.name)

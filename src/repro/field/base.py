@@ -124,8 +124,10 @@ class Field(abc.ABC):
         (``repro.core.aggregate``) are fitted on.
 
         Generic implementation: one :meth:`estimate_area` call per
-        threshold.  Field types with a cheap closed form override this
-        with a single broadcast evaluation.
+        threshold, which only volume fields still use.  DEM and TIN
+        fields override it with one sweep of
+        :func:`~repro.field.interpolation.triangle_band_curves` over
+        their triangles.
         """
         thresholds = np.asarray(thresholds, dtype=np.float64)
         total = float(cls.estimate_area(records, -np.inf, np.inf))

@@ -16,8 +16,8 @@ import numpy as np
 
 from ..geometry import Interval
 from .base import Field
-from .interpolation import (linear_triangle, triangle_band_fraction,
-                            triangle_fraction_below)
+from .interpolation import (linear_triangle, triangle_band_curves,
+                            triangle_band_fraction)
 
 #: Record layout of one DEM cell (32 bytes → 128 records per 4 KiB page).
 DEM_RECORD_DTYPE = np.dtype([
@@ -251,34 +251,19 @@ class DEMField(Field):
     def band_area_curves(cls, records: np.ndarray,
                          thresholds: np.ndarray) -> tuple[
                              np.ndarray, np.ndarray, float]:
-        """Broadcast ``(cells × thresholds)`` evaluation of both curves.
+        """Both curves from one sweep over every cell's two triangles.
 
-        One fused pass over the two sub-triangles of every cell replaces
-        the generic per-threshold ``estimate_area`` loop; the values are
-        the same piecewise quadratics, so both implementations agree to
-        float rounding.
+        :func:`triangle_band_curves` runs once over the lower and the
+        upper triangle of every cell, each weighing half a cell, in
+        O((n + g) log n) for n cells and g thresholds; it agrees with
+        the generic per-threshold ``estimate_area`` loop to float
+        rounding.
         """
-        thresholds = np.asarray(thresholds, dtype=np.float64)
-        if len(records) == 0:
-            zero = np.zeros(len(thresholds))
-            return zero, zero.copy(), 0.0
         c = records["corners"].astype(np.float64)
-        t = thresholds[None, :]
-        area_le = np.zeros(len(thresholds))
-        area_lt = np.zeros(len(thresholds))
-        for tri in ((0, 1, 2), (0, 2, 3)):
-            v0 = c[:, tri[0]][:, None]
-            v1 = c[:, tri[1]][:, None]
-            v2 = c[:, tri[2]][:, None]
-            below = triangle_fraction_below(v0, v1, v2, t)
-            # `value < t` differs from `value <= t` only on flat
-            # triangles sitting exactly at the threshold.
-            flat = (np.maximum(np.maximum(v0, v1), v2)
-                    - np.minimum(np.minimum(v0, v1), v2)) <= 0.0
-            strict = np.where(flat & (v0 == t), 0.0, below)
-            area_le += below.sum(axis=0)
-            area_lt += strict.sum(axis=0)
-        return area_le * 0.5, area_lt * 0.5, float(len(records))
+        triangles = np.concatenate([c[:, [0, 1, 2]], c[:, [0, 2, 3]]])
+        area_le, area_lt = triangle_band_curves(
+            triangles, np.full(len(triangles), 0.5), thresholds)
+        return area_le, area_lt, float(len(records))
 
 
 def _triangle_contains(points, point, eps: float = 1e-9) -> bool:

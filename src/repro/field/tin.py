@@ -16,7 +16,8 @@ import numpy as np
 from ..geometry import Interval
 from .base import Field
 from .delaunay import triangulate
-from .interpolation import linear_triangle, triangle_band_fraction
+from .interpolation import (linear_triangle, triangle_band_curves,
+                            triangle_band_fraction)
 
 #: Record layout of one TIN cell (triangle): 52 bytes → 78 per 4 KiB page.
 TIN_RECORD_DTYPE = np.dtype([
@@ -195,11 +196,7 @@ class TINField(Field):
         if len(records) == 0:
             return 0.0
         vs = records["vs"].astype(np.float64)
-        xs = records["xs"].astype(np.float64)
-        ys = records["ys"].astype(np.float64)
-        per_cell = 0.5 * np.abs(
-            (xs[:, 1] - xs[:, 0]) * (ys[:, 2] - ys[:, 0])
-            - (xs[:, 2] - xs[:, 0]) * (ys[:, 1] - ys[:, 0]))
+        per_cell = _planar_areas(records)
         v0, v1, v2 = vs.T
         lowest = np.minimum(np.minimum(v0, v1), v2)
         highest = np.maximum(np.maximum(v0, v1), v2)
@@ -209,6 +206,23 @@ class TINField(Field):
         per_cell[boundary] *= triangle_band_fraction(
             b[:, 0], b[:, 1], b[:, 2], lo, hi)
         return float(per_cell.sum())
+
+    @classmethod
+    def band_area_curves(cls, records: np.ndarray,
+                         thresholds: np.ndarray) -> tuple[
+                             np.ndarray, np.ndarray, float]:
+        """Both curves from one sweep over the triangles.
+
+        :func:`triangle_band_curves` weighs each triangle by the planar
+        area :meth:`estimate_area` gives it, in O((n + g) log n) for n
+        triangles and g thresholds; it agrees with the generic
+        per-threshold ``estimate_area`` loop to float rounding, and the
+        total is that loop's total bit for bit.
+        """
+        areas = _planar_areas(records)
+        area_le, area_lt = triangle_band_curves(records["vs"], areas,
+                                                thresholds)
+        return area_le, area_lt, float(areas.sum())
 
     # -- helpers ----------------------------------------------------------
 
@@ -224,3 +238,12 @@ class TINField(Field):
         has_neg = (d1 < -eps) or (d2 < -eps) or (d3 < -eps)
         has_pos = (d1 > eps) or (d2 > eps) or (d3 > eps)
         return not (has_neg and has_pos)
+
+
+def _planar_areas(records: np.ndarray) -> np.ndarray:
+    """Planar area of every TIN record's triangle, in float64."""
+    xs = records["xs"].astype(np.float64)
+    ys = records["ys"].astype(np.float64)
+    return 0.5 * np.abs(
+        (xs[:, 1] - xs[:, 0]) * (ys[:, 2] - ys[:, 0])
+        - (xs[:, 2] - xs[:, 0]) * (ys[:, 1] - ys[:, 0]))

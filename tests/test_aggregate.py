@@ -18,20 +18,25 @@ from repro.core import (
     EngineFacade,
     IHilbertIndex,
     LinearScanIndex,
-    PersistError,
     ValueQuery,
     load_index,
     save_index,
 )
-from repro.core.aggregate import exact_aggregate
+from repro.core.aggregate import exact_aggregate, fit_aggregate_models
 from repro.field import DEMField
 from repro.shard import ShardedEngine
-from repro.synth import fractal_dem_heights
+from repro.synth import fractal_dem_heights, lyon_like
+
+#: Fresh fields by kind; the TIN is a small Lyon-like triangulation.
+FIELDS = {
+    "dem": lambda: DEMField(fractal_dem_heights(16, 0.9, seed=11)),
+    "tin": lambda: lyon_like(num_sites=220, seed=7),
+}
 
 
 @pytest.fixture(scope="module")
 def field():
-    return DEMField(fractal_dem_heights(16, 0.9, seed=11))
+    return FIELDS["dem"]()
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +44,16 @@ def index(field):
     idx = IHilbertIndex(field)
     idx.fit_aggregate_models()
     return idx
+
+
+@pytest.fixture(scope="module")
+def fitted(field, index):
+    """``(field, index with models)`` per field kind: the shared DEM and
+    a small TIN."""
+    tin = FIELDS["tin"]()
+    tin_index = IHilbertIndex(tin)
+    tin_index.fit_aggregate_models()
+    return {"dem": (field, index), "tin": (tin, tin_index)}
 
 
 def workload(field, n=30, seed=4):
@@ -58,29 +73,33 @@ def workload(field, n=30, seed=4):
 # ---------------------------------------------------- bound guarantee
 
 @pytest.mark.parametrize("kind", AGGREGATE_KINDS)
-def test_model_answers_within_bound(index, field, kind):
-    for lo, hi in workload(field):
-        exact = exact_aggregate(index, kind, lo, hi)
-        got = index.aggregate(kind, lo, hi, mode="model")
-        assert got.mode == "model"
-        if np.isfinite(got.bound):
-            assert abs(got.value - exact.value) <= got.bound
-        assert got.exact_subfields == 0
+def test_model_answers_within_bound(fitted, kind):
+    for name, (field, index) in fitted.items():
+        for lo, hi in workload(field):
+            exact = exact_aggregate(index, kind, lo, hi)
+            got = index.aggregate(kind, lo, hi, mode="model")
+            assert got.mode == "model"
+            if np.isfinite(got.bound):
+                assert abs(got.value - exact.value) <= got.bound, name
+            assert got.exact_subfields == 0
 
 
 @pytest.mark.parametrize("kind", AGGREGATE_KINDS)
-def test_hybrid_tolerance_zero_is_exact(index, field, kind):
+def test_hybrid_tolerance_zero_is_exact(fitted, kind):
     """tolerance=0 must drive every boundary subfield to the exact path
     and reproduce the exact value bit for bit."""
-    for lo, hi in workload(field, n=12):
-        exact = index.aggregate(kind, lo, hi, mode="exact")
-        got = index.aggregate(kind, lo, hi, tolerance=0.0, mode="hybrid")
-        assert got.value == exact.value
-        assert got.bound == 0.0
-        assert got.model_subfields == 0
-        # The standalone global-sum path agrees to rounding.
-        ref = exact_aggregate(index, kind, lo, hi)
-        assert got.value == pytest.approx(ref.value, rel=1e-12, abs=1e-9)
+    for name, (field, index) in fitted.items():
+        for lo, hi in workload(field, n=12):
+            exact = index.aggregate(kind, lo, hi, mode="exact")
+            got = index.aggregate(kind, lo, hi, tolerance=0.0,
+                                  mode="hybrid")
+            assert got.value == exact.value, name
+            assert got.bound == 0.0
+            assert got.model_subfields == 0
+            # The standalone global-sum path agrees to rounding.
+            ref = exact_aggregate(index, kind, lo, hi)
+            assert got.value == pytest.approx(ref.value, rel=1e-12,
+                                              abs=1e-9), name
 
 
 def test_hybrid_respects_tolerance(index, field):
@@ -140,28 +159,75 @@ def test_constant_field_flat_atoms():
 # -------------------------------------------------- update lifecycle
 
 def test_models_survive_updates_and_compaction():
-    # Private field: apply_updates mutates the field's vertex values,
-    # which would poison the module-scoped fixtures.
-    field = DEMField(fractal_dem_heights(16, 0.9, seed=11))
-    idx = IHilbertIndex(field)
-    idx.fit_aggregate_models()
-    rng = np.random.default_rng(0)
-    n_vertices = field.num_vertices
-    lo, hi = workload(field, n=1, seed=13)[0]
-    for _ in range(3):
-        ids = rng.choice(n_vertices, size=12, replace=False)
-        vr = field.value_range
-        values = rng.uniform(vr.lo, vr.hi, size=12)
-        idx.apply_updates(ids, values)
+    for name, make_field in FIELDS.items():
+        # Private field: apply_updates mutates the field's vertex
+        # values, which would poison the module-scoped fixtures.
+        field = make_field()
+        idx = IHilbertIndex(field)
+        idx.fit_aggregate_models()
+        rng = np.random.default_rng(0)
+        n_vertices = field.num_vertices
+        lo, hi = workload(field, n=1, seed=13)[0]
+        for _ in range(3):
+            ids = rng.choice(n_vertices, size=12, replace=False)
+            vr = field.value_range
+            values = rng.uniform(vr.lo, vr.hi, size=12)
+            idx.apply_updates(ids, values)
+            for kind in ("count", "sum", "area"):
+                exact = exact_aggregate(idx, kind, lo, hi)
+                got = idx.aggregate(kind, lo, hi, mode="model")
+                assert abs(got.value - exact.value) <= got.bound, name
+        idx.compact()
         for kind in ("count", "sum", "area"):
             exact = exact_aggregate(idx, kind, lo, hi)
             got = idx.aggregate(kind, lo, hi, mode="model")
-            assert abs(got.value - exact.value) <= got.bound
-    idx.compact()
-    for kind in ("count", "sum", "area"):
-        exact = exact_aggregate(idx, kind, lo, hi)
-        got = idx.aggregate(kind, lo, hi, mode="model")
-        assert abs(got.value - exact.value) <= got.bound
+            assert abs(got.value - exact.value) <= got.bound, name
+
+
+def assert_models_equal(got, want):
+    for name in ("coeffs", "bounds", "totals", "dom"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("kind_of_field", sorted(FIELDS))
+def test_compaction_models_equal_a_fresh_fit(kind_of_field):
+    """Compaction refits only the subfields it re-clustered, yet its
+    model set is a fresh full fit bit for bit."""
+    field = FIELDS[kind_of_field]()
+    idx = IHilbertIndex(field)
+    idx.fit_aggregate_models()
+    rng = np.random.default_rng(3)
+    vr = field.value_range
+    reclustered = 0
+    for _ in range(4):
+        for _ in range(5):
+            ids = rng.choice(field.num_vertices, size=8, replace=False)
+            idx.apply_updates(ids, rng.uniform(vr.lo, vr.hi, size=8))
+        summary = idx.compact()
+        reclustered += summary["stale_runs"]
+        models = idx.aggregate_models
+        assert models.num_subfields == idx.num_subfields
+        assert_models_equal(models, fit_aggregate_models(
+            idx, degree=models.degree))
+    assert reclustered > 0
+
+
+def test_compaction_refits_out_of_step_models_in_full():
+    """A model set whose subfield count differs from the index's has no
+    rows to carry over: compaction fits it afresh."""
+    field = FIELDS["dem"]()
+    idx = IHilbertIndex(field)
+    models = idx.fit_aggregate_models()
+    rng = np.random.default_rng(5)
+    vr = field.value_range
+    ids = rng.choice(field.num_vertices, size=24, replace=False)
+    idx.apply_updates(ids, rng.uniform(vr.lo, vr.hi, size=24))
+    idx.aggregate_models = models.regroup(
+        np.arange(models.num_subfields - 1))
+    assert idx.compact()["stale_runs"] > 0
+    assert idx.aggregate_models.num_subfields == idx.num_subfields
+    assert_models_equal(idx.aggregate_models, fit_aggregate_models(
+        idx, degree=models.degree))
 
 
 def test_lazy_fit_on_first_aggregate(field):

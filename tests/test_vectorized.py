@@ -17,7 +17,8 @@ I-Hilbert, I-Hilbert+planner} × {list, remote} disk backends:
 Plus hypothesis properties of the two kernels every query runs: the
 shared frame→records codec every fetch decodes through, and the §3.2
 area estimator, which must equal the band kernel run on every cell bit
-for bit.
+for bit; and of the curve sweep the aggregate models are fitted on,
+which must agree with one ``estimate_area`` call per threshold.
 """
 
 from __future__ import annotations
@@ -258,6 +259,13 @@ def band_cases(draw, field_type):
     lo = draw(bound)
     hi = draw(st.one_of(st.just(lo), bound))
     lo, hi = min(lo, hi), max(lo, hi)
+    return make_records(field_type, samples), lo, hi
+
+
+def make_records(field_type, samples: np.ndarray) -> np.ndarray:
+    """Records of ``field_type`` with these ``(n, 4)`` DEM corners or
+    ``(n, 3)`` TIN vertex values; TIN triangles get seeded positions."""
+    n = len(samples)
     records = np.zeros(n, dtype=field_type.record_dtype)
     records["vmin"] = samples.min(axis=1)
     records["vmax"] = samples.max(axis=1)
@@ -270,7 +278,7 @@ def band_cases(draw, field_type):
         records["vs"] = samples
         records["xs"] = rng.random((n, 3)) * 10.0
         records["ys"] = rng.random((n, 3)) * 10.0
-    return records, lo, hi
+    return records
 
 
 @pytest.mark.parametrize("field_type", [DEMField, TINField])
@@ -283,3 +291,74 @@ def test_estimate_area_equals_reference_kernel(field_type, data):
     got = field_type.estimate_area(records, lo, hi)
     want = reference_area(field_type, records, lo, hi)
     assert got == want
+
+
+# -- the aggregate models' curve sweep against the per-threshold loop --------
+
+
+@st.composite
+def curve_cases(draw, field_type):
+    """``(records, thresholds)``: samples from a pool of at most four
+    float32 values, float32 subnormals among them, plus some of their
+    one-ulp neighbours (near-flat triangles); thresholds are the
+    endpoint grid the models are fitted on, plus pool values and
+    arbitrary float64s, unsorted and with repeats."""
+    value = st.one_of(st.floats(-1e3, 1e3, width=32),
+                      st.sampled_from([0.0, 1e-45, -1e-45, 3e-45]))
+    pool = np.asarray(draw(st.lists(value, min_size=1, max_size=4)),
+                      dtype=np.float32)
+    ulp_up = np.nextafter(pool, np.float32(np.inf))
+    pool = np.concatenate([pool, ulp_up[:draw(st.integers(0, len(pool)))]])
+    n = draw(st.integers(min_value=0, max_value=40))
+    k = 4 if field_type is DEMField else 3
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n * k,
+                          max_size=n * k))
+    records = make_records(field_type, pool[picks].reshape(n, k))
+    grid = np.unique(np.concatenate([records["vmin"], records["vmax"]])
+                     .astype(np.float64))
+    extra = draw(st.lists(st.one_of(st.sampled_from(pool.tolist()),
+                                    st.floats(-1.1e3, 1.1e3)),
+                          max_size=4))
+    thresholds = np.concatenate([grid, np.asarray(extra, dtype=np.float64)])
+    order = draw(st.permutations(range(len(thresholds))))
+    return records, thresholds[list(order)]
+
+
+def assert_curves_match_loop(field_type, records, thresholds):
+    """The sweep agrees with the per-threshold ``estimate_area`` loop
+    within 1e-12 of the total, and the total is the loop's bit for
+    bit."""
+    le, lt, total = field_type.band_area_curves(records, thresholds)
+    want_le, want_lt, want_total = super(
+        field_type, field_type).band_area_curves(records, thresholds)
+    assert total == want_total
+    tol = 1e-12 * max(1.0, total)
+    np.testing.assert_allclose(le, want_le, rtol=0, atol=tol)
+    np.testing.assert_allclose(lt, want_lt, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("field_type", [DEMField, TINField])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_band_curves_match_per_threshold_loop(field_type, data):
+    assert_curves_match_loop(field_type,
+                             *data.draw(curve_cases(field_type)))
+
+
+@pytest.mark.parametrize("field_type, samples, thresholds", [
+    # b == c with a threshold at c: the piece [a, b] must stop short of
+    # c, or "fully below" counts the triangle twice there.
+    pytest.param(TINField, [[0.0, 1.0, 1.0]], [0.0, 0.5, 1.0, 2.0],
+                 id="tin-b-equals-c"),
+    pytest.param(DEMField, [[0.0, 1.0, 1.0, 1.0]], [0.0, 0.5, 1.0],
+                 id="dem-b-equals-c"),
+    # A 1e-45 spread next to a -1 corner: shifting the samples by the
+    # lowest threshold would round the upper triangle flat.
+    pytest.param(DEMField, [[0.0, -1.0, 0.0, 1e-45]], [-1.0, 0.0, 1e-45],
+                 id="dem-subnormal-spread"),
+])
+def test_band_curves_pinned_traps(field_type, samples, thresholds):
+    assert_curves_match_loop(
+        field_type, make_records(field_type,
+                                 np.asarray(samples, dtype=np.float32)),
+        np.asarray(thresholds))
