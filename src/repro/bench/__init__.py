@@ -7,7 +7,7 @@ from .harness import (
     SweepPoint,
     run_experiment,
 )
-from .report import format_result, print_result
+from .report import format_result
 
 __all__ = [
     "EXPERIMENTS",
@@ -15,7 +15,6 @@ __all__ = [
     "MethodSeries",
     "SweepPoint",
     "format_result",
-    "print_result",
     "run_experiment",
     "standard_methods",
 ]

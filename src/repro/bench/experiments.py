@@ -43,7 +43,7 @@ from .records import (COMPACT_RECOVERY_LIMIT, AdmissionWait, Aggregate,
                      FieldInfo, IncrementalIngest, Ingest, Kernel, Latency,
                      MethodSweep, Micro, MicroGate, ModelInfo, Observability,
                      Pipeline, PipelinePoint, PoolShare, QueryWorkload,
-                     RemoteTraffic, SameFieldIngest, ScaledDeviceCosts, Serve,
+                     RemoteTraffic, ScaledDeviceCosts, Serve,
                      ServeTotals, ServerInfo, Shard, ShardPoint, Staleness,
                      TenantRun, Throughput, ThroughputPoint, Update,
                      UpdateField, UpdateFinal, UpdateStep, UpdateStream, load)
@@ -656,7 +656,6 @@ def micro(full: bool = False, seed: int = 0, smoke: bool = False,
     # bound).
     bulk_side = 128 if smoke else 1024
     inc_side = 16 if smoke else 32
-    cmp_side = 64 if smoke else 256
 
     bulk_field = roseburg_like(cells_per_side=bulk_side)
     _, bulk_rep = bulk_build(bulk_field, method="I-Hilbert")
@@ -666,13 +665,6 @@ def micro(full: bool = False, seed: int = 0, smoke: bool = False,
     IAllIndex(inc_field, bulk=False)
     inc_s = time.perf_counter() - t0
     inc_cps = inc_field.num_cells / inc_s
-
-    cmp_field = roseburg_like(cells_per_side=cmp_side)
-    t0 = time.perf_counter()
-    IHilbertIndex(cmp_field)
-    ih_inc_s = time.perf_counter() - t0
-    _, ih_bulk_rep = bulk_build(cmp_field, method="I-Hilbert")
-    ih_inc_cps = cmp_field.num_cells / ih_inc_s
 
     ingest = Ingest(
         bulk=BulkIngest(**dict(
@@ -685,12 +677,7 @@ def micro(full: bool = False, seed: int = 0, smoke: bool = False,
             cells_per_second=round(inc_cps, 1),
             note="measured at small n; upper bound on 1M-cell rate"),
         speedup_bulk_vs_incremental=round(
-            bulk_rep.cells_per_second / inc_cps, 1),
-        ihilbert_same_field=SameFieldIngest(
-            cells=cmp_field.num_cells,
-            incremental_cells_per_second=round(ih_inc_cps),
-            bulk_cells_per_second=round(ih_bulk_rep.cells_per_second),
-            speedup=round(ih_bulk_rep.cells_per_second / ih_inc_cps, 2)))
+            bulk_rep.cells_per_second / inc_cps, 1))
 
     lines = [
         "== micro: query hot path + ingestion kernels ==",
@@ -713,11 +700,6 @@ def micro(full: bool = False, seed: int = 0, smoke: bool = False,
         f"{inc_cps:,.0f} cells/s (I-All per-insert; upper bound)",
         f"speedup     : {ingest.speedup_bulk_vs_incremental:,.1f}x "
         f"bulk vs per-insert",
-        f"I-Hilbert   : bulk "
-        f"{ih_bulk_rep.cells_per_second:,.0f} vs incremental "
-        f"{ih_inc_cps:,.0f} cells/s on the same "
-        f"{cmp_field.num_cells:,}-cell field "
-        f"({ingest.ihilbert_same_field.speedup:.2f}x)",
     ]
 
     baseline = Path("BENCH_micro.json")

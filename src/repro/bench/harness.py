@@ -17,14 +17,11 @@ from dataclasses import dataclass, field as dc_field
 from ..core.base import EstimateMode, ValueIndex
 from ..field.base import Field
 from ..obs.trace import Tracer
-# Simulated disk service times per 4 KiB page now live next to IOStats
-# (one authoritative definition shared with the batch engine's
-# DeviceModel); re-exported here for backwards compatibility.
-from ..storage.stats import RANDOM_READ_MS, SEQUENTIAL_READ_MS
+from ..storage.stats import RANDOM_READ_MS, SEQUENTIAL_READ_MS, IOStats
 from ..synth.queries import value_query_workload
 
 __all__ = ["ExperimentResult", "MethodSeries", "SweepPoint",
-           "RANDOM_READ_MS", "SEQUENTIAL_READ_MS", "run_experiment"]
+           "run_experiment"]
 
 MethodFactory = Callable[[Field], ValueIndex]
 
@@ -99,8 +96,6 @@ def run_experiment(name: str, field: Field,
                    cold: bool = True,
                    random_read_ms: float = RANDOM_READ_MS,
                    sequential_read_ms: float = SEQUENTIAL_READ_MS,
-                   io_cost_random: float = 1.0,
-                   io_cost_sequential: float = 0.1,
                    tracer: Tracer | None = None) -> ExperimentResult:
     """Run the paper's sweep protocol for one field and several methods.
 
@@ -152,8 +147,7 @@ def run_experiment(name: str, field: Field,
                     span.attrs["qinterval"] = q
                 series.points.append(
                     _run_point(index, q, workloads[q], estimate, cold,
-                               random_read_ms, sequential_read_ms,
-                               io_cost_random, io_cost_sequential))
+                               random_read_ms, sequential_read_ms))
         result.series.append(series)
         del index
     return result
@@ -161,11 +155,10 @@ def run_experiment(name: str, field: Field,
 
 def _run_point(index: ValueIndex, qinterval: float, workload,
                estimate: EstimateMode, cold: bool,
-               random_read_ms: float, sequential_read_ms: float,
-               io_cost_random: float,
-               io_cost_sequential: float) -> SweepPoint:
+               random_read_ms: float,
+               sequential_read_ms: float) -> SweepPoint:
     total_ms = 0.0
-    pages = seq = rand = hits = skipped = 0
+    io = IOStats()
     candidates = 0
     area = 0.0
     for query in workload:
@@ -174,29 +167,24 @@ def _run_point(index: ValueIndex, qinterval: float, workload,
         t0 = time.perf_counter()
         res = index.query(query, estimate=estimate)
         total_ms += (time.perf_counter() - t0) * 1e3
-        pages += res.io.page_reads
-        seq += res.io.sequential_reads
-        rand += res.io.random_reads
-        skipped += res.io.skipped_pages
-        hits += res.io.cache_hits
+        io += res.io
         candidates += res.candidate_count
         if res.area is not None:
             area += res.area
     n = len(workload)
-    disk_ms = (rand * random_read_ms
-               + (seq + skipped) * sequential_read_ms) / n
+    disk_ms = io.simulated_cost(random_read=random_read_ms,
+                                sequential_read=sequential_read_ms) / n
     return SweepPoint(
         qinterval=qinterval,
         queries=n,
         mean_ms=total_ms / n + disk_ms,
         mean_cpu_ms=total_ms / n,
         mean_disk_ms=disk_ms,
-        mean_pages=pages / n,
-        mean_sequential=seq / n,
-        mean_random=rand / n,
-        mean_cache_hits=hits / n,
+        mean_pages=io.page_reads / n,
+        mean_sequential=io.sequential_reads / n,
+        mean_random=io.random_reads / n,
+        mean_cache_hits=io.cache_hits / n,
         mean_candidates=candidates / n,
         mean_area=area / n,
-        mean_io_cost=(rand * io_cost_random
-                      + seq * io_cost_sequential) / n,
+        mean_io_cost=io.simulated_cost() / n,
     )

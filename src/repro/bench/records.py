@@ -646,23 +646,12 @@ class IncrementalIngest(Record):
 
 
 @dataclass
-class SameFieldIngest(Record):
-    """I-Hilbert bulk against incremental builds of one field."""
-
-    cells: int
-    incremental_cells_per_second: float
-    bulk_cells_per_second: float
-    speedup: float
-
-
-@dataclass
 class Ingest(Record):
     """Bulk load against per-insert ingestion."""
 
     bulk: BulkIngest
     incremental: IncrementalIngest
     speedup_bulk_vs_incremental: float
-    ihilbert_same_field: SameFieldIngest
 
 
 @dataclass

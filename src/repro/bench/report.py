@@ -75,8 +75,3 @@ def format_result(result: ExperimentResult,
             lines.append(row)
     return "\n".join(lines)
 
-
-def print_result(result: ExperimentResult, **kwargs) -> None:
-    """Print :func:`format_result` output."""
-    print(format_result(result, **kwargs))
-

@@ -65,9 +65,9 @@ from .core import (
     AGGREGATE_MODES,
     EngineFacade,
     FacadeError,
-    IHilbertIndex,
     PointIndex,
     ValueQuery,
+    bulk_build,
     load_index,
     run_sequential,
     save_index,
@@ -92,18 +92,13 @@ def _load_field(path: Path):
 def cmd_build(args) -> int:
     """Build an I-Hilbert index over a field file and save it."""
     field = _load_field(Path(args.field))
-    if args.bulk:
-        from .core import bulk_build
-        index, report = bulk_build(field, curve=args.curve)
-    else:
-        index = IHilbertIndex(field, curve=args.curve)
-        report = None
+    index, report = bulk_build(field, curve=args.curve)
     save_index(index, args.index_dir)
     info = index.describe()
     print(f"indexed {info['cells']} cells into {info['subfields']} "
           f"subfields ({info['data_pages']} data pages, "
           f"{info['index_pages']} index pages)")
-    if report is not None:
+    if args.bulk:
         print(f"bulk load: {report.cells} cells in "
               f"{report.build_seconds:.3f}s "
               f"({report.cells_per_second:,.0f} cells/s)")
@@ -606,9 +601,10 @@ def main(argv: list[str] | None = None) -> int:
     build.add_argument("--curve", default="hilbert",
                        choices=["hilbert", "zorder", "gray"])
     build.add_argument("--bulk", action="store_true",
-                       help="bulk-load: sort cells by Hilbert key, pack "
-                            "pages sequentially, build the R*-tree "
-                            "bottom-up (no per-insert descent)")
+                       help="also print the build's timing (every build "
+                            "bulk-loads: cells sorted by Hilbert key, "
+                            "pages packed sequentially, R*-tree built "
+                            "bottom-up)")
     build.set_defaults(func=cmd_build)
 
     query = sub.add_parser("query", help="run a value query against a "

@@ -22,7 +22,7 @@ from .cost import (
     ThresholdGrouping,
     group_cells,
 )
-from .bulkload import BulkLoadReport, bulk_build, bulk_methods
+from .bulkload import BulkLoadReport, bulk_build
 from .facade import (
     EngineFacade,
     FacadeError,
@@ -68,7 +68,6 @@ __all__ = [
     "BatchResult",
     "BulkLoadReport",
     "bulk_build",
-    "bulk_methods",
     "QueryGroup",
     "merge_queries",
     "run_sequential",

@@ -143,8 +143,8 @@ class DeviceModel:
     :data:`~repro.storage.stats.SEQUENTIAL_READ_MS`); ``scale`` shrinks
     or stretches the waits uniformly (useful for fast smoke runs).
     Skipped pages were still transferred before their checksum failed,
-    so they cost a sequential read — the same convention the harness
-    uses.
+    so they cost a sequential read, as in
+    :meth:`~repro.storage.stats.IOStats.simulated_cost`.
     """
 
     random_read_ms: float = RANDOM_READ_MS
@@ -153,9 +153,8 @@ class DeviceModel:
 
     def delay_s(self, io: IOStats) -> float:
         """Simulated device time of ``io``, in seconds."""
-        ms = (io.random_reads * self.random_read_ms
-              + (io.sequential_reads + io.skipped_pages)
-              * self.sequential_read_ms)
+        ms = io.simulated_cost(random_read=self.random_read_ms,
+                               sequential_read=self.sequential_read_ms)
         return ms * self.scale / 1000.0
 
 
@@ -304,7 +303,7 @@ class BatchQueryEngine:
         index = self.index
         tracer = index.tracer
         tree = getattr(index, "tree", None)
-        if tree is not None and tree._dirty:
+        if tree is not None:
             # Flush once up front so no group fetch triggers the lazy
             # flush inside a search.
             tree.flush()

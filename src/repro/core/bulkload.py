@@ -1,30 +1,24 @@
 """Bulk-load ingestion: build a clustered index without per-insert work.
 
-The incremental build path inserts every subfield MBR into the R*-tree
-one at a time — a root-to-leaf descent, margin-minimizing split and
-possible forced reinsert per entry — and appends cell records page by
-page.  For a fresh field none of that adaptivity buys anything: the
-final clustered order is already known (ascending Hilbert key), so the
-build can be a sort plus a sequential pack:
+The per-insert path would add every subfield MBR to the R*-tree one at
+a time — a root-to-leaf descent, margin-minimizing split and possible
+forced reinsert per entry.  For a fresh field none of that adaptivity
+buys anything: the final clustered order is already known (ascending
+Hilbert key), so every grouped build is a sort plus a sequential pack:
 
 1. linearize cells by the Hilbert key of their center
    (``numpy.argsort``, vectorized curve arithmetic);
 2. pack the record file sequentially in curve order
-   (:meth:`~repro.storage.records.RecordStore.bulk_extend` — whole
-   pages written in one pass, no per-record tail shuffling);
+   (:meth:`~repro.storage.records.RecordStore.extend` — whole pages
+   allocated at once and written straight from the sorted array);
 3. build the R*-tree bottom-up, Kamel–Faloutsos style: pack sorted
    entries into leaves at the fill target, then parents over leaves,
    up to the root (:meth:`~repro.rstar.tree.RStarTree.bulk_load_arrays`
    — no descent, no splits, no reinsertion).
 
-Everything downstream is unchanged: the same pages flow through the
-same :class:`~repro.storage.disk.DiskManager`, so WAL/manifest commit
-semantics, scrub coverage and crash-safety of a subsequent
-:func:`~repro.core.persist.save_index` are identical to the
-incremental path, and queries cannot tell the two builds apart.
-
-:func:`bulk_build` is the one entry point; the facade's
-``bulk_build`` verb and ``python -m repro build --bulk`` wrap it.
+:func:`bulk_build` builds any method of :data:`repro.core.METHODS` and
+times the build; the facade's ``bulk_build`` verb and ``python -m repro
+build --bulk`` report that timing.
 """
 
 from __future__ import annotations
@@ -53,37 +47,25 @@ class BulkLoadReport:
         return asdict(self)
 
 
-def bulk_methods() -> dict[str, type[ValueIndex]]:
-    """Index classes that support the bulk build path, by method name."""
-    from .iall import IAllIndex
-    from .ihilbert import IHilbertIndex
-    from .planner import PlannedIndex
-    return {
-        "I-All": IAllIndex,
-        "I-Hilbert": IHilbertIndex,
-        "I-Hilbert+planner": PlannedIndex,
-    }
-
-
 def bulk_build(field: Field, method: str = "I-Hilbert",
                **kwargs) -> tuple[ValueIndex, BulkLoadReport]:
-    """Build an index over ``field`` through the bulk-load path.
+    """Build and time an index over ``field``.
 
-    ``method`` names one of :func:`bulk_methods`; remaining keyword
-    arguments (``curve``, ``grouping``, ``cache_pages``,
+    ``method`` names one of :data:`repro.core.METHODS`; remaining
+    keyword arguments (``curve``, ``grouping``, ``cache_pages``,
     ``disk_backend``, ...) pass through to the index
     constructor.  Returns the built index and a timing report whose
     ``cells_per_second`` is the benchmark's ingestion metric.
     """
-    methods = bulk_methods()
+    from . import METHODS
     try:
-        cls = methods[method]
+        cls = METHODS[method]
     except KeyError:
         raise ValueError(
-            f"method {method!r} has no bulk build path; expected one of "
-            f"{sorted(methods)}") from None
+            f"unknown method {method!r}; expected one of "
+            f"{sorted(METHODS)}") from None
     start = time.perf_counter()
-    index = cls(field, bulk=True, **kwargs)
+    index = cls(field, **kwargs)
     elapsed = time.perf_counter() - start
     cells = len(index.store)
     return index, BulkLoadReport(

@@ -47,6 +47,15 @@ class GroupedIntervalIndex(ValueIndex):
         ``groups`` (when there was one).  Supplies the cost-function
         parameters for staleness tracking and is re-used by
         :meth:`compact` to re-cluster stale runs.
+    intervals:
+        The ``(lo, hi)`` value interval each group is indexed under;
+        each must contain its group's exact interval (``ValueError``
+        otherwise).  Defaults to the exact intervals.  A shard piece of
+        a clipped global group passes the parent group's hull, so a
+        query selects the piece exactly when the unsharded index
+        selects the group.  Updates and compaction recompute intervals
+        exactly, shrinking a hull; answers stay equal, since an exact
+        interval lies inside its hull.
     """
 
     name = "Grouped"
@@ -58,7 +67,7 @@ class GroupedIntervalIndex(ValueIndex):
                  retry_policy: RetryPolicy | None = None,
                  disk_backend: DiskBackend = DiskManager,
                  grouping: GroupingPolicy | None = None,
-                 bulk: bool = False) -> None:
+                 intervals=None) -> None:
         super().__init__(field, cache_pages=cache_pages, stats=stats,
                          page_size=page_size, retry_policy=retry_policy,
                          disk_backend=disk_backend)
@@ -69,14 +78,12 @@ class GroupedIntervalIndex(ValueIndex):
                 f"permutation of length {len(order)} does not cover "
                 f"{len(records)} cells")
         self._validate_groups(groups, len(records))
+        if intervals is not None and len(intervals) != len(groups):
+            raise ValueError(
+                f"{len(intervals)} intervals for {len(groups)} groups")
         self.order = order
         self.grouping = grouping
-        if bulk:
-            # Same page ids and page bytes as extend(); the bulk path
-            # just writes straight from array slices.
-            self.store.bulk_extend(records[order])
-        else:
-            self.store.extend(records[order])
+        self.store.extend(records[order])
 
         vmins = records["vmin"][order].astype(np.float64)
         vmaxs = records["vmax"][order].astype(np.float64)
@@ -87,6 +94,13 @@ class GroupedIntervalIndex(ValueIndex):
         for sf_id, (start, end) in enumerate(groups):
             lo = float(vmins[start:end + 1].min())
             hi = float(vmaxs[start:end + 1].max())
+            if intervals is not None:
+                hull_lo, hull_hi = map(float, intervals[sf_id])
+                if hull_lo > lo or hull_hi < hi:
+                    raise ValueError(
+                        f"interval [{hull_lo}, {hull_hi}] does not contain "
+                        f"subfield {sf_id}'s exact [{lo}, {hi}]")
+                lo, hi = hull_lo, hull_hi
             self.subfields.append(Subfield(sf_id, lo, hi, start, end))
             self._sf_si.append(float(sizes[start:end + 1].sum()))
         self._built_costs: list[float] = [
@@ -171,9 +185,14 @@ class GroupedIntervalIndex(ValueIndex):
             self.store.update(rid, record)
             touched.add(self._subfield_of_rid(rid).sf_id)
         # One interval recomputation per touched subfield, however many
-        # of its members the batch rewrote.
+        # of its members the batch rewrote.  A model set out of step
+        # with the subfield list is not refitted here; aggregate() and
+        # compact() refit it in full.
         unit, _ = self._cost_params()
-        tree_dirty = False
+        models = self.aggregate_models
+        if models is not None and \
+                models.num_subfields != len(self.subfields):
+            models = None
         for sf_id in sorted(touched):
             sf = self.subfields[sf_id]
             block = self.store.read_range(sf.ptr_start, sf.ptr_end)
@@ -185,17 +204,15 @@ class GroupedIntervalIndex(ValueIndex):
             # Values can move without changing the subfield interval, so
             # the aggregate models refit before the interval check —
             # reusing the block already in hand (no extra reads).
-            if self.aggregate_models is not None:
-                self.aggregate_models.refit(self.field_type, sf_id, block)
+            if models is not None:
+                models.refit(self.field_type, sf_id, block)
             if new_lo == sf.lo and new_hi == sf.hi:
                 continue
             self.tree.delete(Rect.from_interval(sf.lo, sf.hi), sf_id)
             self.tree.insert(Rect.from_interval(new_lo, new_hi), sf_id)
             self.subfields[sf_id] = Subfield(
                 sf_id, new_lo, new_hi, sf.ptr_start, sf.ptr_end)
-            tree_dirty = True
-        if tree_dirty:
-            self.tree.flush()
+        self.tree.flush()
         if REGISTRY.enabled:
             _STALENESS.set(self.staleness()["max_drift"], method=self.name)
 
@@ -427,9 +444,20 @@ class GroupedIntervalIndex(ValueIndex):
         if len(sf_ids) == 0:
             return np.empty(0, dtype=self.store.dtype)
         # Step 2 (estimation input): fetch the clustered cell ranges.
-        # Selected subfields that sit on overlapping or adjacent pages are
-        # coalesced into one sequential burst, so each page is read once —
-        # the access pattern the (ptr_start, ptr_end) layout is built for.
+        runs = self.page_runs(sf_ids)
+        with tracer.span("fetch") as span:
+            if span.enabled:
+                span.attrs["runs"] = len(runs)
+            return self._filter_runs(runs, lo, hi)
+
+    def page_runs(self, sf_ids) -> list[list[int]]:
+        """Inclusive ``[first, last]`` store-page runs covering ``sf_ids``.
+
+        Subfields on overlapping or adjacent pages coalesce into one
+        sequential burst, so each page is read once — the access
+        pattern the (ptr_start, ptr_end) layout is built for.  The
+        executor fetches these runs and the planner costs them.
+        """
         per_page = self.store.records_per_page
         page_ranges = sorted(
             (self.subfields[s].ptr_start // per_page,
@@ -441,10 +469,7 @@ class GroupedIntervalIndex(ValueIndex):
                 runs[-1][1] = max(runs[-1][1], last)
             else:
                 runs.append([first, last])
-        with tracer.span("fetch") as span:
-            if span.enabled:
-                span.attrs["runs"] = len(runs)
-            return self._filter_runs(runs, lo, hi)
+        return runs
 
     # -- helpers ---------------------------------------------------------------
 

@@ -44,10 +44,7 @@ class IAllIndex(ValueIndex):
                          page_size=page_size, retry_policy=retry_policy,
                          disk_backend=disk_backend)
         records = field.cell_records()
-        if bulk:
-            self.store.bulk_extend(records)
-        else:
-            self.store.extend(records)
+        self.store.extend(records)
         self.index_disk = self._make_disk("iall-tree")
         self.tree = RStarTree(dim=1, disk=self.index_disk,
                               cache_pages=cache_pages)
@@ -81,7 +78,6 @@ class IAllIndex(ValueIndex):
         # entry under its previous rectangle (re-read from the store —
         # float() of a float32 is exact, so the rect matches the one
         # inserted at build time), rewrite the page, insert the new one.
-        dirty_tree = False
         for cell_id, record in zip(cell_ids, records):
             rid = int(cell_id)
             old = self.store.get(rid)
@@ -95,9 +91,7 @@ class IAllIndex(ValueIndex):
                     f"I-All tree lost the entry for cell {rid} "
                     f"[{old_lo}, {old_hi}] — index is inconsistent")
             self.tree.insert(Rect.from_interval(new_lo, new_hi), rid)
-            dirty_tree = True
-        if dirty_tree:
-            self.tree.flush()
+        self.tree.flush()
 
     def _candidates(self, lo: float, hi: float) -> np.ndarray:
         tracer = self.tracer

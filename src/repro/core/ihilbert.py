@@ -97,8 +97,7 @@ class IHilbertIndex(GroupedIntervalIndex):
                  cache_pages: int = 0, stats: IOStats | None = None,
                  page_size: int = PAGE_SIZE,
                  retry_policy: RetryPolicy | None = None,
-                 disk_backend: DiskBackend = DiskManager,
-                 bulk: bool = False) -> None:
+                 disk_backend: DiskBackend = DiskManager) -> None:
         if isinstance(curve, str):
             dim = field.cell_centroids().shape[1]
             curve = make_curve(curve, default_curve_order(field, dim), dim)
@@ -113,8 +112,7 @@ class IHilbertIndex(GroupedIntervalIndex):
         super().__init__(field, order, groups, cache_pages=cache_pages,
                          stats=stats, page_size=page_size,
                          retry_policy=retry_policy,
-                         disk_backend=disk_backend, grouping=grouping,
-                         bulk=bulk)
+                         disk_backend=disk_backend, grouping=grouping)
 
     def describe(self) -> dict:
         info = super().describe()

@@ -36,12 +36,14 @@ import numpy as np
 from ..field.dem import DEMField
 from ..field.tin import TINField
 from ..field.volume import VolumeField
+from ..rstar import RStarTree
 from ..storage import IOStats, RecordStore
-from ..storage.scrub import file_sha256
+from ..storage.scrub import file_sha256, manifest_entry_problem
 from ..storage.snapshot import (SnapshotError, commit_file, load_disk,
                                 maybe_crash, read_json, save_disk)
 from ..storage.wal import WriteAheadLog
 from .cost import CostBasedGrouping, ThresholdGrouping
+from .subfield import Subfield
 
 #: Field classes reconstructible by name (record semantics only).
 FIELD_TYPES = {
@@ -64,17 +66,6 @@ _ROLE_PATTERNS = {"data": "data-{g}.pages", "tree": "tree-{g}.pages",
 
 class PersistError(Exception):
     """Raised for malformed or incompatible index directories."""
-
-
-def _dtype_from_descr(descr: list) -> np.dtype:
-    """Rebuild a structured dtype from its JSON-roundtripped descr."""
-    fields = []
-    for entry in descr:
-        if len(entry) == 2:
-            fields.append((entry[0], entry[1]))
-        else:
-            fields.append((entry[0], entry[1], tuple(entry[2])))
-    return np.dtype(fields)
 
 
 def _manifest_entry(directory: Path, name: str) -> dict:
@@ -156,8 +147,7 @@ def save_index(index, directory: str | Path,
             f"semantics would not be reconstructible")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    if index.tree._dirty:
-        index.tree.flush()
+    index.tree.flush()
 
     previous = read_json(directory / "meta.json")
     generation = (int(previous.get("generation", 0)) + 1
@@ -186,19 +176,10 @@ def save_index(index, directory: str | Path,
         "generation": generation,
         "method": index.name,
         "field_type": field_name,
-        "record_dtype": index.store.dtype.descr,
-        "record_count": len(index.store),
-        "store_page_ids": list(index.store.page_ids),
+        **index.store.manifest(),
         "subfields": [[sf.lo, sf.hi, sf.ptr_start, sf.ptr_end]
                       for sf in index.subfields],
-        "tree": {
-            "dim": index.tree.dim,
-            "capacity": index.tree.capacity,
-            "root_id": index.tree._root_id,
-            "height": index.tree._height,
-            "count": index.tree._count,
-            "node_ids": sorted(index.tree._nodes),
-        },
+        "tree": index.tree.manifest(),
         "grouping": _grouping_to_meta(getattr(index, "grouping", None)),
         "built_costs": built_costs,
         "files": {role: _manifest_entry(directory, name)
@@ -258,20 +239,11 @@ def load_index(directory: str | Path, cache_pages: int = 0,
             f"{meta['field_type']!r}") from None
     files = meta["files"]
     for role, entry in files.items():
-        path = directory / entry["name"]
-        if not path.exists():
+        problem = manifest_entry_problem(directory, entry, verify=verify)
+        if problem is not None:
             raise PersistError(
-                f"{directory}: missing {entry['name']} ({role} file)")
-        if verify:
-            size = path.stat().st_size
-            if size != entry["bytes"]:
-                raise PersistError(
-                    f"{path}: {size} bytes, manifest says "
-                    f"{entry['bytes']}")
-            if file_sha256(path) != entry["sha256"]:
-                raise PersistError(
-                    f"{path}: whole-file checksum mismatch — run "
-                    f"'python -m repro scrub {directory}' for details")
+                f"{directory / entry['name']} ({role} file): {problem} — "
+                f"run 'python -m repro scrub {directory}' for details")
 
     # Cell record file.
     stats = stats if stats is not None else IOStats()
@@ -300,60 +272,21 @@ def load_index(directory: str | Path, cache_pages: int = 0,
     built_costs = meta.get("built_costs")
     if built_costs is not None:
         index._built_costs = [float(c) for c in built_costs]
-    dtype = _dtype_from_descr(meta["record_dtype"])
-    store = RecordStore.__new__(RecordStore)
-    store.disk = index.data_disk
-    store.dtype = dtype
-    store.records_per_page = (index.data_disk.usable_page_size
-                              // dtype.itemsize)
-    from ..storage import BufferPool
-    store.pool = BufferPool(index.data_disk, capacity=cache_pages)
-    store._page_ids = list(meta["store_page_ids"])
-    store._count = meta["record_count"]
-    store._tail = np.empty(store.records_per_page, dtype=dtype)
-    store._tail_len = store._count % store.records_per_page
-    store._tail_has_page = store._tail_len > 0
-    if store._tail_len:
-        tail_page = store.read_page(len(store._page_ids) - 1)
-        store._tail[:store._tail_len] = tail_page
-    index.store = store
-
-    # Subfields.
-    from .subfield import Subfield
+    index.store = RecordStore.reopen(data_disk, meta,
+                                     cache_pages=cache_pages)
     index.order = np.load(directory / files["order"]["name"])
     index.subfields = [
         Subfield(sf_id, lo, hi, int(start), int(end))
         for sf_id, (lo, hi, start, end) in enumerate(meta["subfields"])
     ]
-
-    # Subfield R*-tree.
-    from ..rstar import RStarTree
-    from ..rstar.node import Node
     try:
         index.index_disk = load_disk(directory / files["tree"]["name"],
                                      stats=index.stats, name="sf-tree",
                                      verify=verify)
     except SnapshotError as exc:
         raise PersistError(str(exc)) from exc
-    tree_meta = meta["tree"]
-    tree = RStarTree.__new__(RStarTree)
-    tree.dim = tree_meta["dim"]
-    tree.disk = index.index_disk
-    tree.capacity = tree_meta["capacity"]
-    from ..rstar.tree import MIN_FILL_FRACTION, REINSERT_FRACTION
-    tree.min_fill = max(2, int(MIN_FILL_FRACTION * tree.capacity))
-    tree.reinsert_count = max(1, int(REINSERT_FRACTION * tree.capacity))
-    tree.pool = BufferPool(index.index_disk, capacity=cache_pages)
-    tree._nodes = {}
-    for node_id in tree_meta["node_ids"]:
-        data = index.index_disk.page_payload(node_id)
-        tree._nodes[node_id] = Node.from_bytes(node_id, data, tree.dim)
-    tree._root_id = tree_meta["root_id"]
-    tree._height = tree_meta["height"]
-    tree._count = tree_meta["count"]
-    tree._dirty = False
-    tree._reinserted_levels = set()
-    index.tree = tree
+    index.tree = RStarTree.reopen(index.index_disk, meta["tree"],
+                                  cache_pages=cache_pages)
 
     # Aggregate models (optional generation file; older manifests
     # simply have no "agg" role).  Loaded before WAL replay so pending

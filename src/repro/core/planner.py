@@ -24,6 +24,7 @@ import numpy as np
 from ..field.base import Field
 from ..obs.metrics import REGISTRY
 from ..storage import DiskManager, IOStats, PAGE_SIZE, RetryPolicy
+from ..storage.stats import RANDOM_READ_MS, SEQUENTIAL_READ_MS
 from .base import DiskBackend
 from .cost import GroupingPolicy
 from .ihilbert import IHilbertIndex
@@ -44,7 +45,7 @@ class CostConstants:
     """Relative I/O costs used by the planner (same units as the
     harness's disk model: one sequential page read = 1)."""
 
-    random_read: float = 42.5     # 8.5 ms seek / 0.2 ms transfer
+    random_read: float = RANDOM_READ_MS / SEQUENTIAL_READ_MS
     sequential_read: float = 1.0
 
 
@@ -64,27 +65,16 @@ def estimate_plan(index, lo: float, hi: float,
     """Estimate both access paths from metadata alone (no I/O).
 
     Works on any grouped (subfield) index: the filtered path's page
-    count comes from coalescing the page ranges of the intersecting
-    subfields — the same run structure the executor produces — and the
-    scan path is one seek plus a sequential sweep of the record file.
+    count comes from the executor's own page runs
+    (:meth:`~repro.core.grouped.GroupedIntervalIndex.page_runs`) over
+    the intersecting subfields, and the scan path is one seek plus a
+    sequential sweep of the record file.
     """
     costs = costs if costs is not None else CostConstants()
-    per_page = index.store.records_per_page
-    page_ranges = sorted(
-        (sf.ptr_start // per_page, sf.ptr_end // per_page)
-        for sf in index.subfields if sf.intersects(lo, hi))
-    pages = 0
-    runs = 0
-    last_end = -2
-    for first, end in page_ranges:
-        if first <= last_end + 1:
-            extend = max(0, end - last_end)
-            pages += extend
-            last_end = max(last_end, end)
-        else:
-            pages += end - first + 1
-            runs += 1
-            last_end = end
+    page_runs = index.page_runs(
+        [sf.sf_id for sf in index.subfields if sf.intersects(lo, hi)])
+    pages = sum(last - first + 1 for first, last in page_runs)
+    runs = len(page_runs)
     tree_reads = index.tree.height
     filtered_cost = ((runs + tree_reads) * costs.random_read
                      + max(0, pages - runs) * costs.sequential_read)
@@ -111,12 +101,11 @@ class PlannedIndex(IHilbertIndex):
                  costs: CostConstants | None = None,
                  page_size: int = PAGE_SIZE,
                  retry_policy: RetryPolicy | None = None,
-                 disk_backend: DiskBackend = DiskManager,
-                 bulk: bool = False) -> None:
+                 disk_backend: DiskBackend = DiskManager) -> None:
         super().__init__(field, curve=curve, grouping=grouping,
                          cache_pages=cache_pages, stats=stats,
                          page_size=page_size, retry_policy=retry_policy,
-                         disk_backend=disk_backend, bulk=bulk)
+                         disk_backend=disk_backend)
         self.costs = costs if costs is not None else CostConstants()
         self.last_plan: Plan | None = None
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
 from ..storage.stats import IOStats
 from .trace import NULL_TRACER, Span, Tracer
 from .export import render_span_tree
@@ -75,34 +73,6 @@ class ExplainReport:
                 / self.actual_candidates)
 
 
-def _interval_statistics(index, bins: int):
-    """FieldStatistics for an index, without charging accounted I/O.
-
-    Delegates to :meth:`~repro.core.base.ValueIndex.statistics`, which
-    stays fresh under live updates (it recomputes from the record
-    store once the index has been written to) and caches per bin
-    count.  The metadata-scan fallback covers index-like objects that
-    predate that method.
-    """
-    statistics = getattr(index, "statistics", None)
-    if statistics is not None:
-        return statistics(bins=bins)
-
-    from ..core.statistics import FieldStatistics
-
-    if getattr(index, "field", None) is not None:
-        return FieldStatistics.from_field(index.field, bins=bins)
-    before = index.stats.snapshot()
-    vmins, vmaxs = [], []
-    for page in index.store.scan():
-        vmins.append(page["vmin"].astype(np.float64))
-        vmaxs.append(page["vmax"].astype(np.float64))
-    index.stats.restore(before)
-    index.clear_caches()
-    return FieldStatistics.from_intervals(
-        np.concatenate(vmins), np.concatenate(vmaxs), bins=bins)
-
-
 def explain(index, lo: float, hi: float, *, analyze: bool = False,
             estimate: str = "area", bins: int = 64,
             costs=None) -> ExplainReport:
@@ -118,7 +88,7 @@ def explain(index, lo: float, hi: float, *, analyze: bool = False,
     if costs is None:
         costs = getattr(index, "costs", None)
     plan = estimate_plan(index, lo, hi, costs)
-    stats = _interval_statistics(index, bins)
+    stats = index.statistics(bins=bins)
     est_candidates = stats.estimate_candidates(lo, hi)
     est_pages_filtered = plan.est_pages + index.tree.height
     est_pages_scan = index.store.num_pages

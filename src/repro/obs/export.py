@@ -11,11 +11,10 @@ record their OS thread id) land on their own lane, with a
 ``thread_name`` metadata event naming it — so Perfetto shows one lane
 per worker instead of one flat lane.
 
-:func:`render_prometheus` is the serving layer's ``GET /metrics``
-exposition: the full Prometheus text format over a
-:class:`~repro.obs.metrics.MetricsRegistry`, with correct label-value
-and help-text escaping (the registry's own ``render_text`` is a debug
-dump and escapes nothing).
+:func:`render_prometheus` is the one text exposition of a
+:class:`~repro.obs.metrics.MetricsRegistry`: the full Prometheus text
+format, with correct label-value and help-text escaping.  The serving
+layer's ``GET /metrics`` and its ``metrics`` verb both serve it.
 """
 
 from __future__ import annotations
@@ -244,12 +243,12 @@ def _prom_number(value) -> str:
 def render_prometheus(registry=None) -> str:
     """Render a metrics registry in the Prometheus text format (0.0.4).
 
-    Unlike the registry's debug ``render_text``, this escapes label
-    values and help text, renders histograms with per-``le`` cumulative
-    buckets (``+Inf`` included) plus ``_sum``/``_count``, and emits
-    ``# HELP``/``# TYPE`` headers for every family with data.  The
-    output is what the server's ``GET /metrics`` listener and the
-    ``metrics`` verb's ``format="prometheus"`` mode serve.
+    Escapes label values and help text, renders histograms with
+    per-``le`` cumulative buckets (``+Inf`` included) plus
+    ``_sum``/``_count``, and emits ``# HELP``/``# TYPE`` headers for
+    every family with data.  The output is what the server's ``GET
+    /metrics`` listener and the ``metrics`` verb's ``"prometheus"`` and
+    ``"text"`` formats serve.
     """
     if registry is None:
         registry = REGISTRY

@@ -12,8 +12,8 @@ the hot path is a single attribute check until someone opts in
 The model is intentionally tiny and prometheus-shaped: a metric has a
 name, help text, and a family of label-keyed series; histograms keep
 cumulative bucket counts plus sum/count.  :meth:`MetricsRegistry.collect`
-returns a JSON-safe dump, :meth:`MetricsRegistry.render_text` a
-human-readable exposition.
+returns a JSON-safe dump; :func:`repro.obs.export.render_prometheus`
+renders the text exposition.
 """
 
 from __future__ import annotations
@@ -237,43 +237,6 @@ class MetricsRegistry:
             "metrics": [m.collect() for _, m in sorted(self._metrics.items())
                         if m.series()],
         }
-
-    def render_text(self) -> str:
-        """Prometheus-exposition-flavoured text dump."""
-        lines = []
-        for name, metric in sorted(self._metrics.items()):
-            if not metric.series():
-                continue
-            if metric.help:
-                lines.append(f"# HELP {name} {metric.help}")
-            lines.append(f"# TYPE {name} {metric.kind}")
-            if isinstance(metric, Histogram):
-                for key, row in sorted(metric.series().items()):
-                    label_str = _labels_text(dict(key))
-                    cumulative = 0
-                    for bound, count in zip(metric.buckets, row):
-                        cumulative += count
-                        lines.append(
-                            f"{name}_bucket{_labels_text(dict(key), le=bound)}"
-                            f" {cumulative}")
-                    cumulative += row[len(metric.buckets)]
-                    lines.append(
-                        f"{name}_bucket{_labels_text(dict(key), le='+Inf')}"
-                        f" {cumulative}")
-                    lines.append(f"{name}_sum{label_str} {row[-2]:g}")
-                    lines.append(f"{name}_count{label_str} {row[-1]}")
-            else:
-                for key, value in sorted(metric.series().items()):
-                    lines.append(f"{name}{_labels_text(dict(key))} {value:g}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _labels_text(labels: dict, **extra) -> str:
-    merged = {**labels, **extra}
-    if not merged:
-        return ""
-    inner = ",".join(f'{k}="{v}"' for k, v in sorted(merged.items()))
-    return "{" + inner + "}"
 
 
 #: The process-wide registry every instrumented layer publishes into.

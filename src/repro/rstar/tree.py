@@ -50,26 +50,60 @@ class RStarTree:
     def __init__(self, dim: int, disk: DiskManager | None = None,
                  cache_pages: int = 0,
                  max_entries: int | None = None) -> None:
-        self.dim = dim
-        self.disk = disk if disk is not None else DiskManager(name="rstar")
-        page_cap = node_capacity(self.disk.usable_page_size, dim)
-        if max_entries is None:
-            self.capacity = page_cap
-        else:
-            if not 4 <= max_entries <= page_cap:
-                raise ValueError(
-                    f"max_entries must be in [4, {page_cap}], "
-                    f"got {max_entries}")
-            self.capacity = max_entries
-        self.min_fill = max(2, int(MIN_FILL_FRACTION * self.capacity))
-        self.reinsert_count = max(1, int(REINSERT_FRACTION * self.capacity))
-        self.pool = BufferPool(self.disk, capacity=cache_pages)
-        self._nodes: dict[int, Node] = {}
+        disk = disk if disk is not None else DiskManager(name="rstar")
+        page_cap = node_capacity(disk.usable_page_size, dim)
+        if max_entries is not None and not 4 <= max_entries <= page_cap:
+            raise ValueError(
+                f"max_entries must be in [4, {page_cap}], "
+                f"got {max_entries}")
+        self._configure(dim, disk, cache_pages,
+                        page_cap if max_entries is None else max_entries)
         self._root_id = self._new_node(is_leaf=True).page_id
         self._height = 1
         self._count = 0
         self._dirty = True
+
+    def _configure(self, dim: int, disk: DiskManager, cache_pages: int,
+                   capacity: int) -> None:
+        """Set the node geometry and an empty node map (no root yet)."""
+        self.dim = dim
+        self.disk = disk
+        self.capacity = capacity
+        self.min_fill = max(2, int(MIN_FILL_FRACTION * capacity))
+        self.reinsert_count = max(1, int(REINSERT_FRACTION * capacity))
+        self.pool = BufferPool(disk, capacity=cache_pages)
+        self._nodes: dict[int, Node] = {}
         self._reinserted_levels: set[int] = set()
+
+    @classmethod
+    def reopen(cls, disk: DiskManager, manifest: dict,
+               cache_pages: int = 0) -> "RStarTree":
+        """Reopen a flushed tree over ``disk`` from its :meth:`manifest`.
+
+        Every node is decoded from its page; allocation continues after
+        the disk's last page, so the reopened tree evolves exactly as
+        the original would have.
+        """
+        tree = cls.__new__(cls)
+        tree._configure(manifest["dim"], disk, cache_pages,
+                        manifest["capacity"])
+        for node_id in manifest["node_ids"]:
+            tree._nodes[node_id] = Node.from_bytes(
+                node_id, disk.page_payload(node_id), tree.dim)
+        tree._root_id = manifest["root_id"]
+        tree._height = manifest["height"]
+        tree._count = manifest["count"]
+        tree._dirty = False
+        return tree
+
+    def manifest(self) -> dict:
+        """JSON-safe description :meth:`reopen` rebuilds the tree from.
+
+        Flush first: :meth:`reopen` reads the nodes from their pages.
+        """
+        return {"dim": self.dim, "capacity": self.capacity,
+                "root_id": self._root_id, "height": self._height,
+                "count": self._count, "node_ids": sorted(self._nodes)}
 
     # ------------------------------------------------------------------
     # public surface
@@ -274,7 +308,12 @@ class RStarTree:
         return bounds
 
     def flush(self) -> None:
-        """Serialize every node to its page (mirror for accounted reads)."""
+        """Serialize every node to its page (mirror for accounted reads).
+
+        A no-op when nothing changed since the last flush.
+        """
+        if not self._dirty:
+            return
         for node in self._nodes.values():
             self.disk.write(node.page_id,
                             node.to_bytes(self.disk.usable_page_size,

@@ -960,14 +960,10 @@ class FieldServer:
                           ctx: _RequestContext) -> dict:
         fmt = optional_choice(request.params, "format",
                               {"json", "text", "prometheus"}, "json")
-        if fmt == "prometheus":
+        if fmt in ("prometheus", "text"):
             self.rolling.publish(REGISTRY)
             self.admission.publish()
-            return {"format": "prometheus",
-                    "text": render_prometheus(REGISTRY)}
-        if fmt == "text":
-            self.admission.publish()
-            return {"format": "text", "text": REGISTRY.render_text()}
+            return {"format": fmt, "text": render_prometheus(REGISTRY)}
         self.admission.publish()
         return {"format": "json", "slo": self.rolling.snapshot(),
                 **REGISTRY.collect()}

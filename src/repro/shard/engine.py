@@ -51,7 +51,6 @@ from ..core.iall import IAllIndex
 from ..core.ihilbert import curve_keys, default_curve_order, make_curve
 from ..core.linearscan import LinearScanIndex
 from ..core.persist import load_index, save_index
-from ..core.subfield import Subfield
 from ..field.base import Field
 from ..obs.trace import NULL_TRACER
 from ..storage import DiskManager, IOStats, PAGE_HEADER_SIZE
@@ -149,52 +148,6 @@ class ShardRuntime:
         return f"shard-{self.uid}"
 
 
-class _ShardGroupedIndex(GroupedIntervalIndex):
-    """A shard's I-Hilbert index, optionally with inherited intervals.
-
-    When a group of the *global* §3.1.2 grouping is clipped at a shard
-    cut, each piece keeps the parent group's ``[lo, hi]`` interval
-    (``forced_intervals``): a query then selects a piece exactly when
-    the unsharded engine selects the parent group, so the union of
-    fetched data pages is the unsharded set.  Updates and compaction
-    recompute intervals exactly from the live records, shrinking the
-    forced hulls — answers stay equal (an exact interval is contained
-    in its hull), only the page-identity pinning is fresh-build-only.
-    """
-
-    name = "I-Hilbert"
-
-    def __init__(self, field: Field, order, groups, *,
-                 forced_intervals=None, **kwargs) -> None:
-        super().__init__(field, order, groups, **kwargs)
-        if forced_intervals is not None:
-            self._force_intervals(forced_intervals)
-
-    def _force_intervals(self, intervals) -> None:
-        if len(intervals) != len(self.subfields):
-            raise ShardError(
-                f"{len(intervals)} forced intervals for "
-                f"{len(self.subfields)} subfields")
-        changed = False
-        for sf, (lo, hi) in zip(list(self.subfields), intervals):
-            lo, hi = float(lo), float(hi)
-            if lo > sf.lo or hi < sf.hi:
-                raise ShardError(
-                    f"forced interval [{lo}, {hi}] does not contain "
-                    f"subfield {sf.sf_id}'s exact [{sf.lo}, {sf.hi}]")
-            if (lo, hi) != (sf.lo, sf.hi):
-                self.subfields[sf.sf_id] = Subfield(
-                    sf.sf_id, lo, hi, sf.ptr_start, sf.ptr_end)
-                changed = True
-        self._built_costs = [
-            self._sf_cost(sf, si)
-            for sf, si in zip(self.subfields, self._sf_si)]
-        if changed:
-            # The widened intervals need a fresh subfield tree.
-            self._build_tree(self.tree.pool.capacity,
-                             self.index_disk.fault_injector)
-
-
 # -- the coordinator ----------------------------------------------------------
 
 class ShardedEngine(ValueIndex):
@@ -277,13 +230,13 @@ class ShardedEngine(ValueIndex):
         for spec in self.shard_map.shards:
             view = shard_field_view(field, spec,
                                     order[spec.start:spec.stop])
-            groups = forced = None
+            groups = hulls = None
             if method == "I-Hilbert":
-                groups, forced = _clip_groups(
+                groups, hulls = _clip_groups(
                     global_groups, global_intervals, spec.start, spec.stop)
             self.shards.append(self._make_runtime(view, spec,
                                                   groups=groups,
-                                                  forced=forced))
+                                                  intervals=hulls))
 
         if map_dir is not None:
             self._map_dir = Path(map_dir)
@@ -342,7 +295,7 @@ class ShardedEngine(ValueIndex):
         return DiskManager
 
     def _make_runtime(self, view, spec, *, groups=None,
-                      forced=None) -> ShardRuntime:
+                      intervals=None) -> ShardRuntime:
         uid = self._next_uid
         self._next_uid += 1
         kwargs = dict(cache_pages=self.cache_pages,
@@ -359,10 +312,10 @@ class ShardedEngine(ValueIndex):
                 groups = group_cells(recs["vmin"].astype(np.float64),
                                      recs["vmax"].astype(np.float64),
                                      self._grouping)
-            index = _ShardGroupedIndex(
+            index = GroupedIntervalIndex(
                 view, np.arange(view.num_cells, dtype=np.int64), groups,
-                forced_intervals=forced, grouping=self._grouping,
-                **kwargs)
+                grouping=self._grouping, intervals=intervals, **kwargs)
+            index.name = "I-Hilbert"
         # Estimation and persistence speak the real field type, not the
         # dynamically derived view type.
         index.field_type = self.field_type

@@ -13,7 +13,7 @@ from .remote import (REMOTE_GET_MS, REMOTE_PUT_MS, NamespaceTakenError,
 from .scrub import ScrubReport, file_sha256, repair_index, scrub_index
 from .snapshot import (SAVE_DISK_CRASH_POINTS, SnapshotError, load_disk,
                        save_disk, verify_snapshot)
-from .stats import CostModelParams, IOStats
+from .stats import IOStats
 from .wal import (WAL_CRASH_POINTS, WalBatch, WalError, WalScan,
                   WriteAheadLog, scan_wal)
 
@@ -21,7 +21,6 @@ __all__ = [
     "BufferPool",
     "CHECKSUM_NAME",
     "CorruptPageError",
-    "CostModelParams",
     "DiskManager",
     "FaultEvent",
     "FaultInjector",

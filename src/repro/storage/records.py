@@ -51,6 +51,31 @@ class RecordStore:
         self._tail_len = 0
         self._tail_has_page = False
 
+    @classmethod
+    def reopen(cls, disk: DiskManager, manifest: dict,
+               cache_pages: int = 0) -> "RecordStore":
+        """Reopen a store over ``disk`` from its :meth:`manifest`.
+
+        The tail page, when partial, is read back once (through the
+        pool) so later appends continue it.
+        """
+        store = cls(disk, _dtype_from_descr(manifest["record_dtype"]),
+                    cache_pages=cache_pages)
+        store._page_ids = list(manifest["store_page_ids"])
+        store._count = manifest["record_count"]
+        store._tail_len = store._count % store.records_per_page
+        store._tail_has_page = store._tail_len > 0
+        if store._tail_len:
+            store._tail[:store._tail_len] = store.read_page(
+                len(store._page_ids) - 1)
+        return store
+
+    def manifest(self) -> dict:
+        """JSON-safe description :meth:`reopen` rebuilds the store from."""
+        return {"record_dtype": self.dtype.descr,
+                "record_count": self._count,
+                "store_page_ids": list(self._page_ids)}
+
     def __len__(self) -> int:
         return self._count
 
@@ -77,41 +102,27 @@ class RecordStore:
         return rid
 
     def extend(self, records: np.ndarray | Iterable) -> range:
-        """Append many records; return the rid range they occupy."""
-        arr = np.asarray(records, dtype=self.dtype)
-        first = self._count
-        for start in range(0, len(arr), self.records_per_page):
-            chunk = arr[start:start + self.records_per_page]
-            take = min(len(chunk), self.records_per_page - self._tail_len)
-            self._tail[self._tail_len:self._tail_len + take] = chunk[:take]
-            self._tail_len += take
-            self._count += take
-            if self._tail_len == self.records_per_page:
-                self._flush_tail()
-            rest = chunk[take:]
-            if len(rest):
-                self._tail[:len(rest)] = rest
-                self._tail_len = len(rest)
-                self._count += len(rest)
-            self._sync_partial_tail()
-        return range(first, self._count)
+        """Append many records; return the rid range they occupy.
 
-    def bulk_extend(self, records: np.ndarray | Iterable) -> range:
-        """Append many records the bulk-load way; return their rid range.
-
-        Byte-identical store layout to :meth:`extend` — same page ids,
-        same page contents — but the full pages are allocated in one
-        :meth:`DiskManager.allocate_many` call and written straight from
-        slices of the input array, skipping the per-chunk tail-mirror
-        copies.  A store whose tail page is partially filled falls back
-        to :meth:`extend` (the bulk path only handles the page-aligned
-        case, which is where bulk loading starts: an empty store).
+        A partially filled tail page is topped up first.  The full
+        pages after it are allocated in one
+        :meth:`DiskManager.allocate_many` call and written straight
+        from slices of the input; the rest becomes the new tail.  The
+        page ids and page bytes are those of an :meth:`append` loop.
         """
         arr = np.ascontiguousarray(np.asarray(records, dtype=self.dtype))
-        if self._tail_len or not len(arr):
-            return self.extend(arr)
         first = self._count
         rpp = self.records_per_page
+        if self._tail_len and len(arr):
+            take = min(len(arr), rpp - self._tail_len)
+            self._tail[self._tail_len:self._tail_len + take] = arr[:take]
+            self._tail_len += take
+            self._count += take
+            if self._tail_len == rpp:
+                self._flush_tail()
+            else:
+                self._sync_partial_tail()
+            arr = arr[take:]
         full, rem = divmod(len(arr), rpp)
         if full:
             first_page = self.disk.allocate_many(full)
@@ -255,3 +266,10 @@ class RecordStore:
         if not 0 <= rid < self._count:
             raise IndexError(
                 f"rid {rid} out of range (store holds {self._count} records)")
+
+
+def _dtype_from_descr(descr: list) -> np.dtype:
+    """Rebuild a structured dtype from its JSON-roundtripped descr."""
+    return np.dtype([tuple(entry[:2]) if len(entry) == 2
+                     else (entry[0], entry[1], tuple(entry[2]))
+                     for entry in descr])

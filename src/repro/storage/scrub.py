@@ -105,22 +105,36 @@ def _read_manifest(directory: Path) -> dict:
     return manifest
 
 
+def manifest_entry_problem(directory: Path, entry: dict, *,
+                           verify: bool = True) -> str | None:
+    """What is wrong with one manifest file entry, or None.
+
+    The file must exist; with ``verify`` it must also have its recorded
+    size and then its recorded SHA-256.  :func:`scrub_index` and
+    :func:`~repro.core.persist.load_index` both check entries here.
+    """
+    path = directory / entry["name"]
+    if not path.exists():
+        return "missing"
+    if not verify:
+        return None
+    size = path.stat().st_size
+    if size != entry["bytes"]:
+        return f"size {size}, manifest says {entry['bytes']}"
+    if file_sha256(path) != entry["sha256"]:
+        return "whole-file checksum mismatch"
+    return None
+
+
 def _scrub_file(directory: Path, role: str, entry: dict) -> FileStatus:
     """Verify one manifest entry: size, whole-file hash, page frames."""
     name = entry["name"]
     path = directory / name
-    status = FileStatus(role=role, name=name, ok=True)
-    if not path.exists():
-        status.ok = False
-        status.detail = "missing"
+    problem = manifest_entry_problem(directory, entry)
+    status = FileStatus(role=role, name=name, ok=problem is None,
+                        detail=problem or "ok")
+    if problem == "missing":
         return status
-    size = path.stat().st_size
-    if size != entry["bytes"]:
-        status.ok = False
-        status.detail = f"size {size}, manifest says {entry['bytes']}"
-    elif file_sha256(path) != entry["sha256"]:
-        status.ok = False
-        status.detail = "whole-file checksum mismatch"
     if name.endswith(".pages"):
         try:
             from .snapshot import read_snapshot_header

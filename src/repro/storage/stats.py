@@ -10,7 +10,7 @@ layout of I-Hilbert earns its advantage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 #: Simulated disk service times per 4 KiB page, calibrated to the paper's
 #: era (c. 2001 commodity disk: ~8.5 ms average seek + rotational delay
@@ -88,17 +88,13 @@ class IOStats:
 
         Rotational disks of the paper's era served a sequential page roughly
         an order of magnitude faster than a random one; the default weights
-        encode that ratio.
+        encode that ratio.  Skipped pages stream past the head, so they
+        cost a sequential read.  With the weights :data:`RANDOM_READ_MS`
+        and :data:`SEQUENTIAL_READ_MS` this is the simulated device time
+        in ms that the bench harness and the batch engine's device model
+        report.
         """
         return (self.random_reads * random_read
                 + (self.sequential_reads + self.skipped_pages)
                 * sequential_read)
 
-
-@dataclass
-class CostModelParams:
-    """Weights used when converting counters into a single scalar cost."""
-
-    random_read: float = 1.0
-    sequential_read: float = 0.1
-    extras: dict = field(default_factory=dict)

@@ -25,7 +25,7 @@ from repro.core import (
 from repro.core.aggregate import exact_aggregate, fit_aggregate_models
 from repro.field import DEMField
 from repro.shard import ShardedEngine
-from repro.synth import fractal_dem_heights, lyon_like
+from repro.synth import fractal_dem_heights, lyon_like, roseburg_like
 
 #: Fresh fields by kind; the TIN is a small Lyon-like triangulation.
 FIELDS = {
@@ -228,6 +228,26 @@ def test_compaction_refits_out_of_step_models_in_full():
     assert idx.aggregate_models.num_subfields == idx.num_subfields
     assert_models_equal(idx.aggregate_models, fit_aggregate_models(
         idx, degree=models.degree))
+
+
+def test_update_with_out_of_step_models_moves_the_interval():
+    """An update under a model set one row short refits no row: the
+    subfield interval and its R*-tree entry still move, and the next
+    aggregate refits the models in full."""
+    field = roseburg_like(cells_per_side=32)
+    idx = IHilbertIndex(field)
+    models = idx.fit_aggregate_models()
+    idx.aggregate_models = models.regroup(
+        np.arange(models.num_subfields - 1))
+    i, j = field.cell_position(int(idx.order[idx.subfields[-1].ptr_end]))
+    value = field.value_range.hi + 500.0
+    dirty = idx.apply_updates([j * (field.cols + 1) + i], [value])
+    lo, hi = value - 1.0, value + 1.0
+    assert idx.query(ValueQuery(lo, hi)).candidate_count == len(dirty)
+    for kind in AGGREGATE_KINDS:
+        assert idx.aggregate(kind, lo, hi, tolerance=0).value == \
+            idx.aggregate(kind, lo, hi, mode="exact").value
+    assert idx.aggregate_models.num_subfields == idx.num_subfields
 
 
 def test_lazy_fit_on_first_aggregate(field):

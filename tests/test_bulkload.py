@@ -1,12 +1,13 @@
 """Bulk-load ingestion: fast to build, indistinguishable once built.
 
-The bulk path (sort by Hilbert key → sequential page pack → bottom-up
-R*-tree) must produce an index a query cannot tell from the incremental
-build: identical answers, and — because the packing replicates the
-incremental layout exactly — byte-identical data pages and identical
-page counts (the documented bound is equality).  Persistence rides the
-same WAL/manifest machinery, so a bulk-built index must scrub clean and
-survive a crash at every save point with old-or-new semantics.
+Every build packs pages sequentially (sort by Hilbert key → one-pass
+page pack → bottom-up R*-tree).  The one store fill must lay out the
+page ids and bytes of a record-by-record append, and ``bulk_build``
+must time an index a query cannot tell from a plain constructor call
+(for I-All, from its per-insert tree): identical answers and
+byte-identical data pages.  Persistence rides the same WAL/manifest
+machinery, so a bulk-built index must scrub clean and survive a crash
+at every save point with old-or-new semantics.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from repro.core import (
     IHilbertIndex,
     ValueQuery,
     bulk_build,
-    bulk_methods,
     load_index,
     save_index,
 )
@@ -28,7 +28,7 @@ from repro.core.persist import SAVE_INDEX_CRASH_POINTS
 from repro.field import DEMField
 from repro.geometry import Rect
 from repro.rstar import RStarTree
-from repro.storage import DiskManager, SimulatedCrash, scrub_index
+from repro.storage import DiskManager, RecordStore, SimulatedCrash, scrub_index
 from repro.synth import fractal_dem_heights, lyon_like
 
 FIELDS = {
@@ -97,32 +97,43 @@ def test_bulk_tree_pages_match_object_path():
         assert via_arrays.disk.read(pid) == via_objects.disk.read(pid)
 
 
+def _appended_store(records) -> RecordStore:
+    store = RecordStore(DiskManager(name="appended"), records.dtype)
+    for record in records:
+        store.append(record)
+    return store
+
+
+def _store_pages(store) -> tuple[dict, list[bytes]]:
+    return store.manifest(), [store.disk.read(pid)
+                              for pid in store.page_ids]
+
+
 def test_bulk_extend_matches_extend_layout():
-    """bulk_extend writes the same pages/ids as record-by-record extend."""
-    field = FIELDS["dem"]()
-    a = IHilbertIndex(field)              # incremental fill
-    b, _ = bulk_build(field)              # bulk fill
-    assert a.store._page_ids == b.store._page_ids
-    assert a.store._tail_len == b.store._tail_len
-    assert len(a.store) == len(b.store)
+    """A page-aligned extend (whole pages written from input slices)
+    lays out the page ids and bytes of a record-by-record append."""
+    records = FIELDS["dem"]().cell_records()
+    store = RecordStore(DiskManager(name="extended"), records.dtype)
+    store.extend(records)
+    assert len(records) % store.records_per_page     # a partial tail
+    assert _store_pages(store) == _store_pages(_appended_store(records))
 
 
 def test_bulk_extend_tail_fallback():
-    """A non-page-aligned store falls back to the serial extend path."""
-    field = FIELDS["dem"]()
-    index, _ = bulk_build(field)
-    store = index.store
-    extra = np.zeros(3, dtype=store.dtype)
-    before = len(store)
-    store.bulk_extend(extra)              # tail occupied -> extend()
-    assert len(store) == before + 3
+    """An extend onto a partial tail page tops the tail up first and
+    still lays out the pages of a record-by-record append."""
+    records = FIELDS["dem"]().cell_records()
+    store = RecordStore(DiskManager(name="extended"), records.dtype)
+    for start, stop in [(0, 3), (3, 5), (5, len(records))]:
+        store.extend(records[start:stop])     # onto a partial tail
+    assert len(records) - 5 > store.records_per_page
+    assert _store_pages(store) == _store_pages(_appended_store(records))
 
 
 def test_bulk_build_rejects_unknown_method():
     field = FIELDS["dem"]()
-    with pytest.raises(ValueError, match="no bulk build path"):
-        bulk_build(field, method="LinearScan")
-    assert "I-Hilbert" in bulk_methods()
+    with pytest.raises(ValueError, match="unknown method"):
+        bulk_build(field, method="no-such-method")
 
 
 def test_bulk_index_scrubs_clean(tmp_path):

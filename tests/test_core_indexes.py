@@ -18,6 +18,7 @@ from repro.core import (
     ValueQuery,
 )
 from repro.core.grouped import GroupedIntervalIndex
+from repro.geometry import Rect
 
 
 def brute_candidates(field, lo, hi):
@@ -222,6 +223,28 @@ def test_grouped_index_validates_groups(mono_dem):
         GroupedIntervalIndex(mono_dem, order, [(1, n - 1)])
     with pytest.raises(ValueError):
         GroupedIntervalIndex(mono_dem, order, [(0, n - 1), (n, n)])
+
+
+def test_grouped_index_takes_containing_intervals(mono_dem):
+    """Given intervals index the groups in place of the exact ones; one
+    that does not contain its group's exact interval is refused."""
+    n = mono_dem.num_cells
+    order = np.arange(n)
+    groups = [(0, n // 2 - 1), (n // 2, n - 1)]
+    exact = GroupedIntervalIndex(mono_dem, order, groups)
+    hulls = [(sf.lo - 1.0, sf.hi + 1.0) for sf in exact.subfields]
+    wide = GroupedIntervalIndex(mono_dem, order, groups, intervals=hulls)
+    assert [(sf.lo, sf.hi) for sf in wide.subfields] == hulls
+    below = hulls[0][0] + 0.5
+    assert len(exact.tree.search(Rect.from_interval(below, below))) == 0
+    assert wide.tree.search(Rect.from_interval(below, below)).tolist() \
+        == [0]
+    with pytest.raises(ValueError):
+        GroupedIntervalIndex(mono_dem, order, groups, intervals=hulls[:1])
+    shrunk = [(exact.subfields[0].lo + 1e-3, exact.subfields[0].hi),
+              hulls[1]]
+    with pytest.raises(ValueError):
+        GroupedIntervalIndex(mono_dem, order, groups, intervals=shrunk)
 
 
 def test_io_accounting_is_per_query(smooth_dem):

@@ -13,6 +13,7 @@ from repro.core import (
     save_index,
 )
 from repro.obs.explain import explain, explain_to_dict, render_explain
+from repro.synth import lyon_like
 
 
 def _interval(field, frac_lo, frac_w):
@@ -134,6 +135,33 @@ def test_page_estimate_exact_for_grouped_index(smooth_dem, shape):
     lo, hi = _interval(smooth_dem, *shape)
     report = explain(index, lo, hi, analyze=True)
     assert report.page_error == 0.0
+
+
+def _spans_named(spans, name):
+    for span in spans:
+        if span.name == name:
+            yield span
+        yield from _spans_named(span.children, name)
+
+
+@pytest.mark.parametrize("kind", ["dem", "tin"])
+def test_plan_runs_and_pages_are_the_executors(kind, smooth_dem):
+    """est_runs is the fetch span's run count and est_pages the cold
+    query's data-pool misses, over random queries."""
+    field = smooth_dem if kind == "dem" else lyon_like(num_sites=180,
+                                                       seed=23)
+    index = IHilbertIndex(field)
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        lo, hi = _interval(field, rng.uniform(0.0, 0.9),
+                           rng.uniform(0.0, 0.4))
+        before = index.store.pool.counters()
+        report = explain(index, lo, hi, analyze=True)
+        misses = index.store.pool.counters().diff(before).misses
+        fetch = list(_spans_named(report.trace_roots, "fetch"))
+        runs = fetch[0].attrs["runs"] if fetch else 0
+        assert report.plan.est_runs == runs
+        assert report.plan.est_pages == misses
 
 
 # -- rendering and JSON ------------------------------------------------------

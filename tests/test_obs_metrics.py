@@ -92,24 +92,6 @@ def test_collect_skips_empty_families(registry):
     assert names == ["touched"]
 
 
-def test_render_text_exposition(registry):
-    c = registry.counter("reads", "Total reads.")
-    c.inc(3, disk="data")
-    h = registry.histogram("sizes", buckets=(1, 2))
-    h.observe(1.5)
-    text = registry.render_text()
-    assert "# HELP reads Total reads." in text
-    assert "# TYPE reads counter" in text
-    assert 'reads{disk="data"} 3' in text
-    assert 'sizes_bucket{le="2"} 1' in text
-    assert 'sizes_bucket{le="+Inf"} 1' in text
-    assert "sizes_count 1" in text
-
-
-def test_render_text_empty(registry):
-    assert registry.render_text() == ""
-
-
 # -- instrumented sites ------------------------------------------------------
 
 def test_disabled_registry_records_nothing(smooth_dem):

@@ -1,5 +1,8 @@
 """Unit tests for disk snapshots and index save/load."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core import (
@@ -19,7 +22,17 @@ from repro.storage import (
     load_disk,
     save_disk,
 )
-from repro.synth import roseburg_like
+from repro.field import DEMField
+from repro.synth import fractal_dem_heights, roseburg_like
+
+#: An 8x8-cell DEM index with fitted models, saved by an earlier
+#: ``save_index`` (the one that set the store's and the tree's
+#: attributes by hand) over :func:`_committed_field`.
+COMMITTED_INDEX = Path(__file__).parent / "data" / "dem8_index"
+
+
+def _committed_field() -> DEMField:
+    return DEMField(fractal_dem_heights(8, 0.5, seed=5))
 
 
 def test_disk_snapshot_roundtrip(tmp_path):
@@ -148,3 +161,40 @@ def test_reloaded_planner_keeps_planning(tmp_path):
         == (before.candidate_count, before.area)
     info = EngineFacade().open_field("terrain", tmp_path / "idx")
     assert info["method"] == "I-Hilbert+planner"
+
+
+def test_committed_index_answers_like_a_fresh_build():
+    fresh = IHilbertIndex(_committed_field())
+    fresh.fit_aggregate_models()
+    back = load_index(COMMITTED_INDEX)
+    assert back.subfields == fresh.subfields
+    assert back.store.manifest() == fresh.store.manifest()
+    assert back.tree.manifest() == fresh.tree.manifest()
+    vr = fresh.field.value_range
+    span = vr.hi - vr.lo
+    for a, b in [(0.0, 1.0), (0.1, 0.3), (0.45, 0.55), (0.5, 0.5),
+                 (0.7, 0.95), (1.2, 1.5)]:
+        lo, hi = vr.lo + a * span, vr.lo + b * span
+        for index in (fresh, back):
+            index.clear_caches()
+        want = fresh.query(ValueQuery(lo, hi))
+        got = back.query(ValueQuery(lo, hi))
+        assert (got.candidate_count, got.area, got.io) == \
+            (want.candidate_count, want.area, want.io)
+        for kind in ("count", "area"):
+            assert back.aggregate(kind, lo, hi, mode="model") == \
+                fresh.aggregate(kind, lo, hi, mode="model")
+
+
+def test_save_index_writes_the_committed_manifest(tmp_path):
+    """The manifest bytes are pinned.  Only the model file's hash is
+    masked: ``np.savez`` stamps the write time into the archive."""
+    fresh = IHilbertIndex(_committed_field())
+    fresh.fit_aggregate_models()
+    save_index(fresh, tmp_path / "idx")
+
+    def masked(directory):
+        text = (directory / "meta.json").read_text()
+        return text.replace(json.loads(text)["files"]["agg"]["sha256"], "")
+
+    assert masked(tmp_path / "idx") == masked(COMMITTED_INDEX)

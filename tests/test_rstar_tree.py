@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.geometry import Rect
 from repro.rstar import RStarTree
+from repro.storage import load_disk, save_disk
 
 
 def random_boxes(n, rng, extent=100.0, size=5.0):
@@ -261,3 +262,29 @@ def test_property_insert_delete_search(entries, seed):
         x, y = rng.random(2) * 90
         query = Rect((x, y), (x + 20, y + 20))
         assert sorted(tree.search(query)) == brute_search(keep, query)
+
+
+def test_reopened_tree_evolves_like_the_original(tmp_path):
+    """A tree reopened from its manifest and a copy of its page file
+    ends an insert/delete sequence on the original's pages."""
+    rng = np.random.default_rng(21)
+    rects = [Rect.from_interval(lo, lo + w) for lo, w in
+             zip(rng.random(300) * 100.0, rng.random(300) * 2.0)]
+    tree = RStarTree(dim=1, max_entries=8)
+    for ident, rect in enumerate(rects[:200]):
+        tree.insert(rect, ident)
+    tree.flush()
+    save_disk(tree.disk, tmp_path / "tree.pages")
+    reopened = RStarTree.reopen(load_disk(tmp_path / "tree.pages"),
+                                tree.manifest())
+    for t in (tree, reopened):
+        for ident in range(0, 200, 3):
+            assert t.delete(rects[ident], ident)
+        for ident in range(200, 300):
+            t.insert(rects[ident], ident)
+        t.flush()
+        t.check_invariants()
+    assert reopened.manifest() == tree.manifest()
+    assert reopened.disk.num_pages == tree.disk.num_pages
+    for pid in range(tree.disk.num_pages):
+        assert reopened.disk.read(pid) == tree.disk.read(pid)

@@ -411,7 +411,8 @@ def test_index_page_faults_always_raise(method, backend, smooth_dem):
     # raises for index-file pages.
     index = METHODS[method](smooth_dem,
                             disk_backend=disk_backend(backend))
-    index.index_disk._flip_bit(index.tree._root_id, byte_index=0, bit=0)
+    index.index_disk._flip_bit(index.tree.manifest()["root_id"],
+                               byte_index=0, bit=0)
     index.clear_caches()
     with pytest.raises(CorruptPageError):
         index.query(_workloads(smooth_dem)[0], on_fault="skip")
