@@ -404,11 +404,12 @@ def throughput(full: bool = False, queries: int | None = None,
     configuration — merged fetch groups, a shared
     :data:`~repro.core.batch.DEFAULT_BATCH_CACHE_PAGES`-page buffer
     pool, and batched page-run fetches — whose oracle is one
-    single-worker run on the per-page fetch path (an empty
-    :class:`~repro.storage.faults.FaultInjector` attached): every
-    pipelined point must match that oracle byte for byte (per-query
-    answers, per-query I/O, and total I/O accounting), so the speedup
-    it reports is a speedup on a provably equivalent execution.
+    single-worker reference run (with an empty
+    :class:`~repro.storage.faults.FaultInjector` attached, whose hook
+    runs on every read of the same batched path): every pipelined
+    point must match that oracle byte for byte (per-query answers,
+    per-query I/O, and total I/O accounting), so the speedup it
+    reports is a speedup on a provably equivalent execution.
     """
     from ..core import BatchQueryEngine, DeviceModel
     from ..core.batch import DEFAULT_BATCH_CACHE_PAGES
@@ -483,8 +484,8 @@ def throughput(full: bool = False, queries: int | None = None,
                 random_reads=io.random_reads,
                 sequential_reads=io.sequential_reads))
         # Pipeline sweep: merged groups + shared pool + batched page
-        # runs, checked byte-for-byte against a one-worker run on the
-        # per-page fetch path (an attached injector forces it).
+        # runs, checked byte-for-byte against a one-worker reference
+        # run with an empty injector attached.
         cache = DEFAULT_BATCH_CACHE_PAGES
         index.inject_faults(FaultInjector())
         index.clear_caches()
@@ -520,7 +521,7 @@ def throughput(full: bool = False, queries: int | None = None,
         "(answers, per-query I/O and total page counts verified "
         "identical to one worker at every worker count; '+pipe' rows "
         "are the merged+cached+batched pipeline, verified "
-        "byte-identical to a one-worker per-page-fetch oracle, speedup "
+        "byte-identical to a one-worker reference run, speedup "
         "column relative to the legacy row at the same worker count)",
     ]
     return Throughput(
@@ -1188,16 +1189,12 @@ def shard_bench(full: bool = False, queries: int | None = None,
     field = roseburg_like(cells_per_side=size)
     workload = _fig8a_queries(field, per_q, seed)
 
-    def device_ms(delta) -> float:
-        return delta.simulated_cost(random_read=RANDOM_READ_MS,
-                                    sequential_read=SEQUENTIAL_READ_MS)
-
     baseline = IHilbertIndex(field, cache_pages=0)
     oracle, base_ms = [], 0.0
     for query in workload:
         result = baseline.query(query, estimate=estimate)
         oracle.append((result.candidate_count, result.area))
-        base_ms += device_ms(result.io)
+        base_ms += result.io.simulated_cost()
         baseline.clear_caches()
 
     lines = [
@@ -1226,8 +1223,8 @@ def shard_bench(full: bool = False, queries: int | None = None,
             result = engine.query(query, estimate=estimate)
             if (result.candidate_count, result.area) != want:
                 mismatches += 1
-            shard_ms += max((device_ms(d) for d in engine.last_shard_io),
-                            default=0.0)
+            shard_ms += max((d.simulated_cost()
+                             for d in engine.last_shard_io), default=0.0)
             reads += result.io.page_reads
             engine.clear_caches()
         total_checked += len(workload)

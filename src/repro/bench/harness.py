@@ -44,7 +44,6 @@ class SweepPoint:
     mean_cache_hits: float
     mean_candidates: float
     mean_area: float
-    mean_io_cost: float
 
 
 @dataclass
@@ -186,5 +185,4 @@ def _run_point(index: ValueIndex, qinterval: float, workload,
         mean_cache_hits=io.cache_hits / n,
         mean_candidates=candidates / n,
         mean_area=area / n,
-        mean_io_cost=io.simulated_cost() / n,
     )

@@ -239,7 +239,12 @@ class PipelinePoint(Record):
 
 @dataclass
 class Pipeline(Record):
-    """The serving configuration's sweep and its per-page-fetch oracle."""
+    """The serving configuration's sweep and its one-worker oracle.
+
+    ``perpage_oracle_page_reads`` keeps its name from when that
+    reference ran a per-page fetch; it is a one-worker run of the same
+    batched reads with an empty fault injector attached.
+    """
 
     cache_pages: int = _min(1)
     merge: bool
@@ -247,7 +252,7 @@ class Pipeline(Record):
     points: list[PipelinePoint]
 
     def checks(self) -> Iterator[str]:
-        # Byte identity to the one-worker per-page oracle shows as
+        # Byte identity to the one-worker reference shows as
         # exactly the oracle's page count at every sweep point.
         for point in self.points:
             if point.page_reads != self.perpage_oracle_page_reads:

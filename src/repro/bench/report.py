@@ -43,7 +43,6 @@ def format_result(result: ExperimentResult,
         "mean_pages": "mean page reads",
         "mean_random": "mean random reads",
         "mean_sequential": "mean sequential reads",
-        "mean_io_cost": "weighted I/O cost",
         "mean_candidates": "mean candidate cells",
     }
     methods = [s.method for s in result.series]

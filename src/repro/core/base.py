@@ -23,10 +23,9 @@ from ..field.base import Field
 from ..field.extraction import extract_regions, total_area
 from ..obs.metrics import REGISTRY
 from ..obs.trace import NULL_TRACER
-from ..storage import (CorruptPageError, DiskManager, FaultInjector, IOStats,
-                       PAGE_SIZE, PageFault, RecordStore, RetryPolicy,
-                       SimulatedCrash, TransientIOError, WAL_CRASH_POINTS,
-                       WriteAheadLog)
+from ..storage import (DiskManager, FaultInjector, IOStats, PAGE_SIZE,
+                       PageFault, RecordStore, RetryPolicy, SimulatedCrash,
+                       WAL_CRASH_POINTS, WriteAheadLog)
 from .query import QueryResult, ValueQuery
 
 EstimateMode = Literal["none", "area", "regions"]
@@ -284,104 +283,41 @@ class ValueIndex(abc.ABC):
                 _QUERY_DEGRADED.inc(1, method=self.name)
         return result
 
-    def _read_data_page(self, page_no: int) -> np.ndarray | None:
-        """Read one store page, honouring the query's fault mode.
-
-        In ``on_fault="skip"`` mode an unreadable *data* page is
-        recorded as a :class:`~repro.storage.faults.PageFault` and
-        ``None`` is returned so the caller drops just that page; in the
-        default mode the typed error propagates unchanged.
-        """
-        try:
-            return self.store.read_page(page_no)
-        except (CorruptPageError, TransientIOError) as exc:
-            if self._fault_mode != "skip":
-                raise
-            self.store.pool.invalidate(self.store.page_ids[page_no])
-            self._query_faults.append(PageFault(
-                disk=exc.disk, page_id=exc.page_id,
-                kind=type(exc).__name__, detail=str(exc)))
-            return None
-
-    def _batched_fetch_ok(self) -> bool:
-        """True when a page run may be fetched as one batch.
-
-        Requires a clean fault regime: with a fault injector attached
-        the disk must observe every page access individually
-        (injection schedules are per-read), and in ``on_fault="skip"``
-        mode faults must be attributable to single pages — both are
-        what the per-page path provides.
-        """
-        return (self._fault_mode == "raise"
-                and self.data_disk.fault_injector is None)
-
-    def _read_data_run(self, first_page: int,
-                       last_page: int) -> np.ndarray | None:
-        """Fetch a contiguous store page run as one decoded array.
-
-        On the clean path this is one :meth:`RecordStore.read_pages`
-        batch (accounting identical to a serial page loop); when a
-        fault injector is attached or the query runs in skip mode it
-        degrades to per-page :meth:`_read_data_page` calls so fault
-        semantics are untouched.  Returns ``None`` when every page of
-        the run was skipped.
-        """
-        if self._batched_fetch_ok():
-            return self.store.read_pages(first_page, last_page)
-        parts = []
-        for page_no in range(first_page, last_page + 1):
-            page = self._read_data_page(page_no)
-            if page is not None:
-                parts.append(page)
-        if not parts:
-            return None
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts)
+    def _skip_faults(self) -> list[PageFault] | None:
+        """The fault list the storage reads take: the query's in skip
+        mode, where an unreadable data page is recorded and left out,
+        and None in raise mode, where its typed error propagates."""
+        return self._query_faults if self._fault_mode == "skip" else None
 
     def _fetch_rids(self, rids) -> np.ndarray:
         """Records of the given record ids, in ascending rid order.
 
         The rids are sorted so page fetches are deduplicated and as
-        sequential as the clustering permits.  On the clean path the
-        page set is one :meth:`RecordStore.read_page_set` batch; with a
-        fault injector attached or in skip mode it is fetched page by
-        page through :meth:`_read_data_page`, which drops the records
-        of a skipped page.
+        sequential as the clustering permits; the page set is one
+        :meth:`RecordStore.read_page_set` batch.
         """
+        faults = self._skip_faults()
         rids = np.sort(np.asarray(rids, dtype=np.int64))
         per_page = self.store.records_per_page
         pages = rids // per_page
         slots = rids - pages * per_page
-        if self._batched_fetch_ok():
-            records, upages, offsets = self.store.read_page_set(pages)
-            return records[offsets[np.searchsorted(upages, pages)] + slots]
-        chunks = []
-        start = 0
-        for end in range(1, len(pages) + 1):
-            if end == len(pages) or pages[end] != pages[start]:
-                page_records = self._read_data_page(int(pages[start]))
-                if page_records is not None:
-                    chunks.append(page_records[slots[start:end]])
-                start = end
-        if not chunks:
-            return np.empty(0, dtype=self.store.dtype)
-        if len(chunks) == 1:
-            return chunks[0]
-        return np.concatenate(chunks)
+        records, upages, offsets = self.store.read_page_set(pages, faults)
+        if faults:      # keep the rids whose page came back
+            kept = np.isin(pages, upages)
+            pages, slots = pages[kept], slots[kept]
+        return records[offsets[np.searchsorted(upages, pages)] + slots]
 
     def _filter_runs(self, runs, lo: float, hi: float) -> np.ndarray:
         """Filter step over inclusive ``(first, last)`` store page runs.
 
-        Each run is fetched with :meth:`_read_data_run` and reduced to
-        the records whose interval intersects ``[lo, hi]``; the result
-        keeps store order.
+        Each run is one :meth:`RecordStore.read_pages` batch, reduced
+        to the records whose interval intersects ``[lo, hi]``; the
+        result keeps store order.
         """
+        faults = self._skip_faults()
         chunks = []
         for first, last in runs:
-            block = self._read_data_run(first, last)
-            if block is None:
-                continue
+            block = self.store.read_pages(first, last, faults)
             mask = interval_mask(block, lo, hi)
             if mask.any():
                 chunks.append(block[mask])
@@ -423,9 +359,21 @@ class ValueIndex(abc.ABC):
         return result
 
     def clear_caches(self) -> None:
-        """Drop caches and forget disk positions (cold-query setting)."""
-        self.store.pool.clear()
-        self.data_disk.reset_head()
+        """Drop every pool's frames and forget its disk's head position
+        (cold-query setting)."""
+        for pool in self.pools():
+            pool.clear()
+            pool.disk.reset_head()
+
+    def _start_cold(self) -> None:
+        """Leave no trace of setup I/O: drop every frame and disk head,
+        and zero every pool's counters and the IOStats, as on an index
+        no query has run on (the end of a reload)."""
+        self.clear_caches()
+        for pool in self.pools():
+            pool.reset_counters()
+        self.stats.reset()
+        self.maint_stats.reset()
 
     def pools(self) -> list:
         """Every buffer pool a query reads through: the data file's and,

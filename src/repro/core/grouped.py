@@ -153,11 +153,6 @@ class GroupedIntervalIndex(ValueIndex):
         })
         return info
 
-    def clear_caches(self) -> None:
-        super().clear_caches()
-        self.tree.pool.clear()
-        self.index_disk.reset_head()
-
     # -- dynamic maintenance ---------------------------------------------------
 
     def update_cell(self, cell_id: int, new_record) -> None:

@@ -66,11 +66,6 @@ class IAllIndex(ValueIndex):
     def index_pages(self) -> int:
         return self.index_disk.num_pages
 
-    def clear_caches(self) -> None:
-        super().clear_caches()
-        self.tree.pool.clear()
-        self.index_disk.reset_head()
-
     def _apply_cell_updates(self, cell_ids: np.ndarray,
                             records: np.ndarray) -> None:
         # rid == cell_id (records are stored in cell order).  Each dirty

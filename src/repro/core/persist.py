@@ -319,6 +319,5 @@ def load_index(directory: str | Path, cache_pages: int = 0,
                                       batch.decode(index.store.dtype))
         index.wal = wal
 
-    index.data_disk.stats.reset()
-    index.maint_stats.reset()
+    index._start_cold()
     return index

@@ -486,10 +486,6 @@ class ShardedEngine(ValueIndex):
             rt.index.inject_faults(injector)
         return injector
 
-    def clear_caches(self) -> None:
-        for rt in self.shards:
-            rt.index.clear_caches()
-
     def compact(self, stale_threshold: float = 0.0) -> dict:
         """Run §3.1.2 compaction on every grouped shard."""
         self._require_local("compact")
@@ -769,7 +765,7 @@ class ShardedEngine(ValueIndex):
         engine._next_uid = max(extra["uids"]) + 1
         order = np.concatenate([page["cell_id"].astype(np.int64)
                                 for page in engine.store.scan()])
-        engine.clear_caches()
+        engine._start_cold()
         keys = None
         if field is not None:
             dim = field.cell_centroids().shape[1]

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..storage.scrub import file_sha256
+from ..storage.scrub import file_sha256, manifest_entry_problem
 from ..storage.snapshot import commit_file, read_json
 
 SHARD_MAP_FORMAT = 1
@@ -368,19 +368,10 @@ def load_shard_map(directory: str | Path) -> tuple[ShardMap, dict]:
     if meta is None:
         raise ShardMapError(f"no committed shard map under {directory}")
     entry = meta["shard_map"]
-    path = directory / entry["name"]
-    if not path.exists():
-        raise ShardMapError(f"shard-map payload {entry['name']} missing")
-    if path.stat().st_size != entry["bytes"]:
-        raise ShardMapError(
-            f"shard-map payload {entry['name']} is "
-            f"{path.stat().st_size} bytes, manifest says {entry['bytes']}")
-    digest = file_sha256(path)
-    if digest != entry["sha256"]:
-        raise ShardMapError(
-            f"shard-map payload {entry['name']} fails its checksum "
-            f"({digest} != {entry['sha256']})")
-    with open(path, encoding="utf-8") as fh:
+    problem = manifest_entry_problem(directory, entry)
+    if problem is not None:
+        raise ShardMapError(f"shard-map payload {entry['name']}: {problem}")
+    with open(directory / entry["name"], encoding="utf-8") as fh:
         smap = ShardMap.from_dict(json.load(fh))
     return smap, meta.get("extra", {})
 

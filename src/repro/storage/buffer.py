@@ -29,6 +29,10 @@ from dataclasses import dataclass
 
 from ..obs.metrics import REGISTRY
 from .disk import DiskManager
+from .faults import CorruptPageError, TransientIOError
+
+#: Stands for the payload of the miss whose disk read raised.
+_FAILED = object()
 
 _POOL_READS = REGISTRY.counter(
     "repro_pool_reads_total",
@@ -130,105 +134,104 @@ class BufferPool:
         return len(self._frames)
 
     def read(self, page_id: int, tenant: str | None = None) -> bytes:
-        """Return page bytes, from cache when resident.
+        """Return page bytes, from cache when resident: a one-page
+        :meth:`read_many`."""
+        return self.read_many((page_id,), tenant)[0]
+
+    def read_many(self, page_ids, tenant: str | None = None,
+                  faults: list | None = None) -> list:
+        """Read pages in order, accounted exactly like one access each.
+
+        Hits, misses, evictions, admissions, LRU order, tenant rows and
+        the backing disk's ``IOStats`` come out as a page-at-a-time
+        loop leaves them, also when a read fails mid-batch.  The batch
+        is served in runs whose hits and misses are known before any
+        page of the run is read (:meth:`_next_run`); each run's misses
+        are one :meth:`DiskManager.read_many` call.
 
         ``tenant`` (or, when omitted, the pool's current tenant — see
-        :meth:`set_tenant`) attributes the access to a tenant's
-        counters; ``None`` leaves the read unattributed.
-        """
-        with self._lock:
-            if tenant is None:
-                tenant = self._current_tenant
-            return self._read_locked(page_id, tenant)
-
-    def _read_locked(self, page_id: int, tenant: str | None) -> bytes:
-        """One hit-or-miss access; the caller holds the lock."""
-        if page_id in self._frames:
-            self._frames.move_to_end(page_id)
-            self.hits += 1
-            self.disk.stats.cache_hits += 1
-            if REGISTRY.enabled:
-                _POOL_READS.inc(1, disk=self.disk.name, event="hit")
-            data = self._frames[page_id]
-            if tenant is not None:
-                self._attribute(tenant, page_id, len(data), hit=True)
-            return data
-        self.misses += 1
-        if REGISTRY.enabled:
-            _POOL_READS.inc(1, disk=self.disk.name, event="miss")
-        data = self.disk.read(page_id)
-        self._admit(page_id, data)
-        if tenant is not None:
-            self._attribute(tenant, page_id, len(data), hit=False)
-        return data
-
-    def read_many(self, page_ids, tenant: str | None = None) -> list:
-        """Read a batch of pages with serial-identical accounting.
-
-        Hits, misses, eviction counts, tenant attribution, and the
-        backing disk's ``IOStats`` come out exactly as a loop of
-        :meth:`read` calls would — the batch only saves per-page lock
-        round-trips and lets the disk account misses in bulk
-        (:meth:`DiskManager.read_many`).  Batched miss prefetching is
-        only safe when admission cannot evict (an eviction mid-batch
-        could turn an expected hit stale), so it engages when the pool
-        is capacity-0 (every access misses, nothing is admitted) or
-        when all missing pages fit without eviction; otherwise the
-        batch degrades to exact per-page accesses under one lock.
+        :meth:`set_tenant`) attributes the accesses to a tenant's
+        counters; ``None`` leaves them unattributed.  ``faults`` goes
+        to the disk: a page that fails there is a miss that is neither
+        admitted nor attributed, and its payload is ``None``.  Without
+        it the error propagates once the accesses before it, and its
+        own miss, are accounted.
         """
         page_ids = list(page_ids)
+        out: list = []
         with self._lock:
             if tenant is None:
                 tenant = self._current_tenant
-            frames = self._frames
-            if self.capacity == 0 and not frames:
-                # Admission-free: every access is a miss straight to disk.
-                self.misses += len(page_ids)
-                if REGISTRY.enabled and page_ids:
-                    _POOL_READS.inc(len(page_ids), disk=self.disk.name,
-                                    event="miss")
-                payloads = self.disk.read_many(page_ids)
-                if tenant is not None:
-                    for pid, data in zip(page_ids, payloads):
-                        self._attribute(tenant, pid, len(data), hit=False)
-                return payloads
-            missing: list[int] = []
-            seen: set[int] = set()
-            for pid in page_ids:
-                if pid not in frames and pid not in seen:
-                    missing.append(pid)
-                    seen.add(pid)
-            if len(frames) + len(missing) > self.capacity:
-                # Eviction possible mid-batch: classify one at a time.
-                return [self._read_locked(pid, tenant) for pid in page_ids]
-            fetched = dict(zip(missing, self.disk.read_many(missing))) \
-                if missing else {}
-            hits = misses = 0
-            out: list = []
-            for pid in page_ids:
-                data = frames.get(pid)
-                if data is not None:
-                    frames.move_to_end(pid)
-                    hits += 1
-                    if tenant is not None:
-                        self._attribute(tenant, pid, len(data), hit=True)
-                else:
-                    data = fetched[pid]
-                    misses += 1
+            while len(out) < len(page_ids):
+                run, misses = self._next_run(page_ids, len(out))
+                try:
+                    fetched = (self.disk.read_many(misses, faults)
+                               if misses else ())
+                except (CorruptPageError, TransientIOError) as exc:
+                    self._serve(run, exc.partial, tenant, out)
+                    raise
+                self._serve(run, fetched, tenant, out)
+        return out
+
+    def _next_run(self, page_ids: list, start: int) -> tuple[list, list]:
+        """The longest run of ``page_ids`` from ``start`` whose hits and
+        misses are known before it is read, and the pages it misses.
+
+        Without capacity nothing is admitted, so the rest is one run of
+        misses.  Otherwise a run ends before a page it already missed
+        (a failed read would miss it again) and after a miss whose
+        admission evicts (the frame it evicts may be read later).
+        """
+        if not self.capacity:
+            rest = page_ids[start:]
+            return rest, rest
+        frames = self._frames
+        room = self.capacity - len(frames)
+        misses: dict[int, None] = {}
+        for end in range(start, len(page_ids)):
+            pid = page_ids[end]
+            if pid in frames:
+                continue
+            if pid in misses:
+                return page_ids[start:end], list(misses)
+            misses[pid] = None
+            if len(misses) > room:
+                return page_ids[start:end + 1], list(misses)
+        return page_ids[start:], list(misses)
+
+    def _serve(self, run: list, fetched, tenant: str | None,
+               out: list) -> None:
+        """Account a run's accesses in order; its misses take the
+        ``fetched`` payloads in turn.  A miss past the end of
+        ``fetched`` is the read that raised: it ends the run."""
+        frames = self._frames
+        capacity = self.capacity
+        fetched = iter(fetched)
+        hits = misses = 0
+        for pid in run:
+            data = frames.get(pid)
+            hit = data is not None
+            if hit:
+                frames.move_to_end(pid)
+                hits += 1
+            else:
+                misses += 1
+                data = next(fetched, _FAILED)
+                if data is _FAILED:
+                    break
+                if data is not None and capacity:   # None: skipped
                     self._admit(pid, data)
-                    if tenant is not None:
-                        self._attribute(tenant, pid, len(data), hit=False)
-                out.append(data)
-            self.hits += hits
-            self.misses += misses
-            self.disk.stats.cache_hits += hits
-            if REGISTRY.enabled:
-                if hits:
-                    _POOL_READS.inc(hits, disk=self.disk.name, event="hit")
-                if misses:
-                    _POOL_READS.inc(misses, disk=self.disk.name,
-                                    event="miss")
-            return out
+            if data is not None and tenant is not None:
+                self._attribute(tenant, pid, len(data), hit=hit)
+            out.append(data)
+        self.hits += hits
+        self.misses += misses
+        self.disk.stats.cache_hits += hits
+        if REGISTRY.enabled:
+            if hits:
+                _POOL_READS.inc(hits, disk=self.disk.name, event="hit")
+            if misses:
+                _POOL_READS.inc(misses, disk=self.disk.name, event="miss")
 
     def write(self, page_id: int, data: bytes) -> None:
         """Write through to disk and refresh the cached copy."""

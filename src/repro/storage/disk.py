@@ -10,20 +10,23 @@ Every page is stored as a *frame*: a 16-byte header (magic, format
 version, checksum algorithm, payload length, CRC of the payload)
 followed by the payload, which therefore holds at most
 :attr:`DiskManager.usable_page_size` = ``page_size - 16`` bytes.
-:meth:`DiskManager.write` computes the checksum; :meth:`DiskManager.read`
-verifies it and raises :class:`CorruptPageError` on mismatch, so bit rot
-and torn writes surface as typed errors instead of silently wrong
-query answers.  In memory the header fields live beside the payload (no
-per-read slicing or copying); :meth:`DiskManager.frame_bytes`
-materializes the full on-disk frame for snapshots and scrubbing.
+:meth:`DiskManager.write` computes the checksum; every read verifies it
+and raises :class:`CorruptPageError` on mismatch, so bit rot and torn
+writes surface as typed errors instead of silently wrong query answers.
+In memory the header fields live beside the payload (no per-read
+slicing or copying); :meth:`DiskManager.frame_bytes` materializes the
+full on-disk frame for snapshots and scrubbing.
 
-Failure injection hooks into the same object: attach a
+Every accounted read runs through one loop, :meth:`DiskManager.read_many`
+(:meth:`DiskManager.read` is a one-page call into it).  Failure
+injection hooks into it: attach a
 :class:`~repro.storage.faults.FaultInjector` via :attr:`fault_injector`
 and reads/writes start failing on the injector's deterministic
-schedule.  A :class:`RetryPolicy` given at construction makes
-:meth:`DiskManager.read` retry transient faults with exponential
-(simulated) backoff.  With neither attached the only hot-path overhead
-is the checksum verification itself.
+schedule.  A :class:`RetryPolicy` given at construction makes reads
+retry transient faults with exponential (simulated) backoff, and a
+skip-mode fault list turns a page that still fails into a reported
+fault.  With none of these the only hot-path overhead is the checksum
+verification itself.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import struct
 from dataclasses import dataclass
 
 from ..obs.metrics import REGISTRY
-from .faults import CorruptPageError, PageError, TransientIOError
+from .faults import CorruptPageError, PageError, PageFault, TransientIOError
 from .stats import IOStats
 
 try:                                    # pragma: no cover - optional wheel
@@ -126,7 +129,7 @@ class DiskManager:
         exceed :data:`PAGE_HEADER_SIZE`; payloads may use at most
         :attr:`usable_page_size` bytes.
     retry_policy:
-        When given, :meth:`read` retries
+        When given, reads retry
         :class:`~repro.storage.faults.TransientIOError` under this
         policy; ``None`` (default) lets the first transient fault
         propagate.  Corruption is never retried.
@@ -205,75 +208,35 @@ class DiskManager:
         self._lens.extend(0 for _ in range(count))
 
     def read(self, page_id: int) -> bytes:
-        """Return the page payload, charging one accounted read.
+        """Return one page's payload: a one-page :meth:`read_many`."""
+        return self.read_many((page_id,))[0]
 
-        The payload checksum is verified against the frame header on
-        every read; a mismatch raises :class:`CorruptPageError` (the
-        read is still accounted — a failed transfer moved the head).
-        With a fault injector attached, the injector may raise
-        :class:`TransientIOError` or damage the page first.
+    def read_many(self, page_ids, faults: list | None = None) -> list:
+        """Read pages in order; return their payloads.
+
+        Every attempt to read a page is one accounted transfer,
+        sequential when it lands at most :attr:`near_window` pages
+        past the previous one (the gap streams past the head) and
+        random otherwise.  The counters are applied once per batch, in
+        a ``finally`` that covers every attempted transfer, so a batch
+        that stops early leaves them as a loop of single-page reads
+        would.  An attached fault injector is consulted once per
+        attempt and may raise :class:`TransientIOError` or damage the
+        page; the payload checksum is then verified against the frame
+        header, and a mismatch is a :class:`CorruptPageError` (the
+        failed transfer still moved the head).
 
         With a :attr:`retry_policy`, a :class:`TransientIOError` is
-        retried up to ``max_attempts`` times.  Every attempt is an
-        accounted transfer; each retry also counts in
+        retried up to ``max_attempts`` times; each retry counts in
         ``IOStats.read_retries`` and adds its backoff to
-        :attr:`simulated_backoff_ms`.  When every attempt fails the
-        last ``TransientIOError`` propagates.
-        """
-        self._check(page_id)
-        attempt = 1
-        while True:
-            self.stats.page_reads += 1
-            gap = (page_id - self._last_read - 1
-                   if self._last_read is not None else -1)
-            if 0 <= gap <= self.near_window:
-                # Short forward hop: the head streams over the gap.
-                self.stats.sequential_reads += 1
-                self.stats.skipped_pages += gap
-                if REGISTRY.enabled:
-                    _READS.inc(1, disk=self.name, kind="sequential")
-                    if gap:
-                        _SKIPPED.inc(gap, disk=self.name)
-            else:
-                self.stats.random_reads += 1
-                if REGISTRY.enabled:
-                    _READS.inc(1, disk=self.name, kind="random")
-            self._last_read = page_id
-            try:
-                if self.fault_injector is not None:
-                    self._injected_read(page_id)
-                return self._verified_payload(page_id)
-            except TransientIOError:
-                policy = self.retry_policy
-                if policy is None:
-                    raise
-                if attempt >= policy.max_attempts:
-                    if REGISTRY.enabled:
-                        _EXHAUSTED.inc(1, disk=self.name)
-                    raise
-                self.stats.read_retries += 1
-                self.simulated_backoff_ms += policy.backoff_ms(attempt)
-                if REGISTRY.enabled:
-                    _RETRIES.inc(1, disk=self.name)
-                attempt += 1
+        :attr:`simulated_backoff_ms`.  Corruption is never retried.
 
-    def read_many(self, page_ids) -> list:
-        """Read several pages, accounted identically to serial :meth:`read`.
-
-        The per-page sequential/random classification walks the same
-        last-read head position as a loop of ``read()`` calls would, so
-        ``IOStats`` comes out byte-identical; the savings are the Python
-        attribute lookups and counter updates, applied once per batch
-        instead of once per page.  Counter application happens in a
-        ``finally`` block covering every page whose transfer was
-        *attempted* — a checksum failure mid-batch leaves the stats
-        exactly as the serial loop would (the failed read is accounted,
-        later pages are not).  With a fault injector or a retry policy
-        attached the batch degrades to serial :meth:`read` calls, so
-        injection schedules and the retry loop see every access.
+        A page that still fails raises its typed error, whose
+        ``partial`` lists the payloads read before it.  With
+        ``faults`` (a query's skip-mode fault list) the failure is
+        appended there as a :class:`~repro.storage.faults.PageFault`
+        instead, the page's payload is ``None``, and the batch goes on.
         """
-        if self.fault_injector is not None or self.retry_policy is not None:
-            return [self.read(pid) for pid in page_ids]
         for pid in page_ids:
             self._check(pid)
         payloads: list = []
@@ -281,16 +244,36 @@ class DiskManager:
         last = self._last_read
         near = self.near_window
         verify = self._verified_payload
+        injector = self.fault_injector
         try:
             for pid in page_ids:
-                gap = pid - last - 1 if last is not None else -1
-                if 0 <= gap <= near:
-                    seq += 1
-                    skip += gap
-                else:
-                    rand += 1
-                last = pid
-                payloads.append(verify(pid))
+                attempt = 1
+                while True:
+                    gap = pid - last - 1 if last is not None else -1
+                    if 0 <= gap <= near:
+                        seq += 1
+                        skip += gap
+                    else:
+                        rand += 1
+                    last = pid
+                    try:
+                        if injector is not None:
+                            self._injected_read(pid)
+                        payloads.append(verify(pid))
+                        break
+                    except (TransientIOError, CorruptPageError) as exc:
+                        if (isinstance(exc, TransientIOError)
+                                and self._retried(attempt)):
+                            attempt += 1
+                            continue
+                        if faults is None:
+                            exc.partial = payloads
+                            raise
+                        faults.append(PageFault(exc.disk, exc.page_id,
+                                                type(exc).__name__,
+                                                str(exc)))
+                        payloads.append(None)
+                        break
         finally:
             stats = self.stats
             stats.page_reads += seq + rand
@@ -306,6 +289,22 @@ class DiskManager:
                 if skip:
                     _SKIPPED.inc(skip, disk=self.name)
         return payloads
+
+    def _retried(self, attempt: int) -> bool:
+        """Whether a transient fault on the ``attempt``-th try of a page
+        is retried under :attr:`retry_policy`; accounts the retry."""
+        policy = self.retry_policy
+        if policy is None:
+            return False
+        if attempt >= policy.max_attempts:
+            if REGISTRY.enabled:
+                _EXHAUSTED.inc(1, disk=self.name)
+            return False
+        self.stats.read_retries += 1
+        self.simulated_backoff_ms += policy.backoff_ms(attempt)
+        if REGISTRY.enabled:
+            _RETRIES.inc(1, disk=self.name)
+        return True
 
     def _verified_payload(self, page_id: int) -> bytes:
         """Checksum-verified payload of an already-accounted read."""

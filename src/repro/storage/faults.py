@@ -26,6 +26,10 @@ from dataclasses import dataclass, field
 class PageError(Exception):
     """Base error of the paged-storage layer (bad ids, bad payloads)."""
 
+    #: Payloads of the pages a batched read returned before the page
+    #: that raised (set by :meth:`~repro.storage.disk.DiskManager.read_many`).
+    partial: tuple | list = ()
+
 
 class TransientIOError(PageError):
     """A read failed for a reason a retry can cure (timeout, bus reset).

@@ -14,7 +14,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from .buffer import BufferPool
-from .codec import decode_pages, decode_records
+from .codec import decode_pages
 from .disk import DiskManager
 
 
@@ -142,7 +142,7 @@ class RecordStore:
         """Overwrite one record in place (read-modify-write of its page)."""
         self._check_rid(rid)
         page_no, slot = divmod(rid, self.records_per_page)
-        current = np.array(self.read_page(page_no))
+        current = self.read_page(page_no)
         current[slot] = record
         self.disk.write(self._page_ids[page_no], current.tobytes())
         # Keep the in-memory tail mirror coherent for later appends.
@@ -160,35 +160,24 @@ class RecordStore:
         return self.read_page(page_no)[slot]
 
     def read_page(self, page_no: int) -> np.ndarray:
-        """Return the records of one store page as a structured array."""
-        if not 0 <= page_no < len(self._page_ids):
-            raise IndexError(
-                f"page {page_no} out of range (store has "
-                f"{len(self._page_ids)} pages)")
-        raw = self.pool.read(self._page_ids[page_no])
-        n = self._records_on_page(page_no)
-        return decode_records(raw, self.dtype, n)
+        """Return the records of one store page: a one-page
+        :meth:`read_pages`."""
+        return self.read_pages(page_no, page_no)
 
-    def read_pages(self, first_page: int, last_page: int) -> np.ndarray:
+    def read_pages(self, first_page: int, last_page: int,
+                   faults: list | None = None) -> np.ndarray:
         """Decode a contiguous page run into one structured array.
 
-        Inclusive on both ends.  The pages are fetched as one batch
-        (:meth:`BufferPool.read_many`) with accounting identical to a
-        serial :meth:`read_page` loop, then decoded in one pass by the
-        shared codec — the vectorized query path's bulk fetch.
+        Inclusive on both ends.  The pages are fetched as one
+        :meth:`BufferPool.read_many` batch, then decoded in one pass
+        by the shared codec.  With ``faults`` (a query's skip-mode
+        fault list) a page that cannot be read is recorded there and
+        left out.
         """
         if first_page > last_page:
             return np.empty(0, dtype=self.dtype)
-        for p in (first_page, last_page):
-            if not 0 <= p < len(self._page_ids):
-                raise IndexError(
-                    f"page {p} out of range (store has "
-                    f"{len(self._page_ids)} pages)")
-        ids = self._page_ids[first_page:last_page + 1]
-        payloads = self.pool.read_many(ids)
-        counts = [self._records_on_page(p)
-                  for p in range(first_page, last_page + 1)]
-        return decode_pages(payloads, self.dtype, counts)
+        return self._fetch(list(range(first_page, last_page + 1)),
+                           faults)[2]
 
     def scan(self) -> Iterator[np.ndarray]:
         """Yield every page's records, front to back (sequential reads)."""
@@ -213,38 +202,44 @@ class RecordStore:
         start = rid_start - first_page * self.records_per_page
         return block[start:start + rid_end - rid_start + 1]
 
-    def read_page_set(self, page_nos) -> tuple[np.ndarray, np.ndarray,
-                                               np.ndarray]:
+    def read_page_set(self, page_nos, faults: list | None = None
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fetch a set of store pages as one concatenated array.
 
         ``page_nos`` may repeat and is reduced to its sorted unique
-        pages, which are fetched as one batch (same accounting as a
-        serial ascending page loop).  Returns ``(records, unique_pages,
-        offsets)``: ``records[offsets[i]:]`` starts the records of page
-        ``unique_pages[i]``, so callers can gather arbitrary slots with
-        ``records[offsets[searchsorted(unique_pages, page)] + slot]``.
+        pages, which are fetched as one batch.  Returns ``(records,
+        pages, offsets)``: ``records[offsets[i]:]`` starts the records
+        of page ``pages[i]``, so callers can gather arbitrary slots
+        with ``records[offsets[searchsorted(pages, page)] + slot]``.
+        With ``faults`` (skip mode) a page that cannot be read is
+        recorded there and missing from ``pages``.
         """
-        upages = np.unique(np.asarray(page_nos, dtype=np.int64))
-        if len(upages) and not (
-                0 <= upages[0] and upages[-1] < len(self._page_ids)):
-            raise IndexError(
-                f"page {upages[0] if upages[0] < 0 else upages[-1]} out "
-                f"of range (store has {len(self._page_ids)} pages)")
-        ids = [self._page_ids[p] for p in upages.tolist()]
-        payloads = self.pool.read_many(ids)
-        counts = np.array([self._records_on_page(p)
-                           for p in upages.tolist()], dtype=np.int64)
-        records = decode_pages(payloads, self.dtype, counts.tolist())
-        offsets = np.zeros(len(upages), dtype=np.int64)
+        pages, counts, records = self._fetch(
+            np.unique(np.asarray(page_nos, dtype=np.int64)).tolist(), faults)
+        offsets = np.zeros(len(pages), dtype=np.int64)
         if len(counts) > 1:
             np.cumsum(counts[:-1], out=offsets[1:])
-        return records, upages, offsets
+        return records, np.array(pages, dtype=np.int64), offsets
 
-    def _records_on_page(self, page_no: int) -> int:
-        if page_no == len(self._page_ids) - 1:
-            last = self._count - page_no * self.records_per_page
-            return last
-        return self.records_per_page
+    def _fetch(self, page_nos: list[int], faults: list | None
+               ) -> tuple[list[int], list[int], np.ndarray]:
+        """Read ascending store pages as one pool batch and decode what
+        came back: ``(pages, record counts, records)``."""
+        last = len(self._page_ids) - 1
+        if page_nos and not (0 <= page_nos[0] and page_nos[-1] <= last):
+            raise IndexError(
+                f"page {page_nos[0] if page_nos[0] < 0 else page_nos[-1]} "
+                f"out of range (store has {last + 1} pages)")
+        payloads = self.pool.read_many(
+            [self._page_ids[p] for p in page_nos], faults=faults)
+        if faults:      # skip mode after a fault: drop the failed pages
+            page_nos = [p for p, raw in zip(page_nos, payloads)
+                        if raw is not None]
+            payloads = [raw for raw in payloads if raw is not None]
+        counts = [self.records_per_page] * len(page_nos)
+        if page_nos and page_nos[-1] == last:   # the tail may be partial
+            counts[-1] = self._count - last * self.records_per_page
+        return page_nos, counts, decode_pages(payloads, self.dtype, counts)
 
     def _flush_tail(self) -> None:
         if not self._tail_has_page:

@@ -82,19 +82,16 @@ class IOStats:
         for f in fields(self):
             setattr(self, f.name, getattr(earlier, f.name))
 
-    def simulated_cost(self, *, random_read: float = 1.0,
-                       sequential_read: float = 0.1) -> float:
-        """Weighted I/O cost with a configurable random:sequential ratio.
+    def simulated_cost(self, *, random_read: float = RANDOM_READ_MS,
+                       sequential_read: float = SEQUENTIAL_READ_MS) -> float:
+        """Simulated device time in ms: :data:`RANDOM_READ_MS` per
+        random read and :data:`SEQUENTIAL_READ_MS` per sequential read
+        unless weighted otherwise.
 
-        Rotational disks of the paper's era served a sequential page roughly
-        an order of magnitude faster than a random one; the default weights
-        encode that ratio.  Skipped pages stream past the head, so they
-        cost a sequential read.  With the weights :data:`RANDOM_READ_MS`
-        and :data:`SEQUENTIAL_READ_MS` this is the simulated device time
-        in ms that the bench harness and the batch engine's device model
-        report.
+        Skipped pages stream past the head, so they cost a sequential
+        read.  The bench harness, the batch engine's device model and
+        the planner all weigh reads this way.
         """
         return (self.random_reads * random_read
                 + (self.sequential_reads + self.skipped_pages)
                 * sequential_read)
-

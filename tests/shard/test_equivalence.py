@@ -34,9 +34,9 @@ from repro.core import (BatchQueryEngine, IAllIndex, IHilbertIndex,
                         LinearScanIndex, ValueQuery)
 from repro.core.base import FilterStep
 from repro.core.batch import run_sequential
-from repro.shard import ShardedEngine
-from repro.storage import (CorruptPageError, PAGE_HEADER_SIZE,
-                           SimulatedObjectStore)
+from repro.shard import ShardedEngine, ShardMapError
+from repro.storage import (CorruptPageError, IOStats, PAGE_HEADER_SIZE,
+                           PoolCounters, SimulatedObjectStore)
 from repro.synth import roseburg_like
 from repro.synth.queries import value_query_workload
 
@@ -302,3 +302,41 @@ def test_rebalance_and_reload_preserve_answers(field, workload, tmp_path):
     loaded = ShardedEngine.load(tmp_path / "saved", field=field)
     assert [(loaded.query(q).candidate_count, loaded.query(q).area)
             for q in workload] == ref
+
+
+def test_reloaded_engine_starts_with_clean_pools(tmp_path):
+    """The shards' tail reads and the order-recovery scan of a reload
+    leave no pool traffic, no frames and no IOStats behind."""
+    engine = ShardedEngine(roseburg_like(cells_per_side=32), n_shards=2,
+                           method="I-Hilbert")
+    engine.save(tmp_path)
+    loaded = ShardedEngine.load(tmp_path, cache_pages=8)
+    assert [p.counters() for p in loaded.pools()] == \
+        [PoolCounters()] * 4
+    assert [len(p) for p in loaded.pools()] == [0] * 4
+    assert loaded.stats == IOStats()
+    assert [rt.index.stats for rt in loaded.shards] == [IOStats()] * 2
+
+
+@pytest.mark.parametrize("damage", ["missing", "truncated", "altered"])
+def test_damaged_shard_map_payload_refuses_to_load(field, tmp_path,
+                                                   damage):
+    engine = ShardedEngine(field, n_shards=2, method="I-Hilbert")
+    engine.save(tmp_path)
+    payload = next(tmp_path.glob("shard-map-*.json"))
+    text = payload.read_bytes()
+    if damage == "missing":
+        payload.unlink()
+    elif damage == "truncated":
+        payload.write_bytes(text[:-1])
+    else:
+        # Same size: only the whole-file SHA-256 can tell.
+        altered = text.replace(b'"curve_order": ', b'"curve_order":\t', 1)
+        assert altered != text and len(altered) == len(text)
+        payload.write_bytes(altered)
+    problem = {"missing": "missing", "truncated": "size",
+               "altered": "checksum mismatch"}[damage]
+    with pytest.raises(ShardMapError,
+                       match=f"shard-map payload {payload.name}: "
+                             f".*{problem}"):
+        ShardedEngine.load(tmp_path)

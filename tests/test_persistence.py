@@ -18,6 +18,8 @@ from repro.core import (
 )
 from repro.storage import (
     DiskManager,
+    IOStats,
+    PoolCounters,
     SnapshotError,
     load_disk,
     save_disk,
@@ -198,3 +200,24 @@ def test_save_index_writes_the_committed_manifest(tmp_path):
         return text.replace(json.loads(text)["files"]["agg"]["sha256"], "")
 
     assert masked(tmp_path / "idx") == masked(COMMITTED_INDEX)
+
+
+def test_reloaded_index_starts_with_clean_pools(tmp_path):
+    """Reopening reads the partial tail page (and a WAL replay reads and
+    writes pages); none of that shows in the pools or IOStats."""
+    back = load_index(COMMITTED_INDEX, cache_pages=8)
+    assert [p.counters() for p in back.pools()] == [PoolCounters()] * 2
+    assert [len(p) for p in back.pools()] == [0, 0]
+    assert back.stats == IOStats()
+    fresh = IHilbertIndex(_committed_field())
+    save_index(fresh, tmp_path / "idx")
+    fresh.attach_wal(tmp_path / "idx" / "wal.log")
+    records = fresh.field.cell_records()[[3]].copy()
+    records["vmax"] += 1.0
+    fresh.update_cells([3], records)
+    fresh.wal.close()
+    replayed = load_index(tmp_path / "idx", cache_pages=8)
+    replayed.wal.close()
+    assert [p.counters() for p in replayed.pools()] == [PoolCounters()] * 2
+    assert [len(p) for p in replayed.pools()] == [0, 0]
+    assert (replayed.stats, replayed.maint_stats) == (IOStats(), IOStats())

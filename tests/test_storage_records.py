@@ -176,9 +176,8 @@ def test_read_range_reads_each_page_once():
 @given(n=st.integers(1, 30), cache_pages=st.sampled_from([0, 2, 16]),
        data=st.data())
 def test_read_range_same_with_fault_injector(n, cache_pages, data):
-    """An attached (empty) injector turns the batch into serial reads;
-    records, IOStats and pool counters stay those of the batch, cold
-    and warm."""
+    """An attached (empty) injector leaves records, IOStats and pool
+    counters those of the plain batch, cold and warm."""
     start = data.draw(st.integers(0, n - 1))
     end = data.draw(st.integers(start, n - 1))
     rows = np.array([(k, float(k)) for k in range(n)], dtype=DTYPE)

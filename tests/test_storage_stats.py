@@ -33,7 +33,7 @@ def test_diff_returns_deltas():
 
 def test_simulated_cost_weights_random_higher():
     s = IOStats(random_reads=1, sequential_reads=10)
-    assert s.simulated_cost() == 1.0 + 10 * 0.1
+    assert s.simulated_cost() == 8.5 + 10 * 0.2
 
 
 def test_simulated_cost_counts_skipped_as_sequential():

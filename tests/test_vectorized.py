@@ -7,12 +7,13 @@ I-Hilbert, I-Hilbert+planner} × {list, remote} disk backends:
 
 * candidates (records and order) and answer areas equal the brute-force
   oracle of :mod:`tests.oracle` bit for bit;
-* the batched (vectorized) page-run fetch is observationally identical
-  to the page-at-a-time (scalar) fetch that fault injection and
-  ``on_fault="skip"`` need: an index matches a copy of itself with an
-  empty :class:`~repro.storage.faults.FaultInjector` attached in
-  candidate counts, areas, per-query ``IOStats`` and pool counters,
-  cold and with a warm cache.
+* an attached fault injector leaves the batched page-run fetch
+  untouched: an index matches a copy of itself with an empty
+  :class:`~repro.storage.faults.FaultInjector` attached (its hook runs
+  on every read of the same batched path) in candidate counts, areas,
+  per-query ``IOStats`` and pool counters, cold and with a warm cache.
+  ``tests/test_page_reads.py`` pins the batched reads themselves
+  against a page-at-a-time loop under every fault regime.
 
 Plus hypothesis properties of the two kernels every query runs: the
 shared frame→records codec every fetch decodes through, and the §3.2
@@ -79,8 +80,8 @@ def queries_for(field) -> list[ValueQuery]:
 
 
 def index_pair(method, field, backend="list", **kwargs):
-    """An index and a copy of itself forced onto the per-page fetch,
-    each on page files of its own from ``backend``."""
+    """An index and a copy of itself with an empty fault injector
+    attached, each on page files of its own from ``backend``."""
     index, perpage = (
         METHODS[method](field, disk_backend=disk_backend(backend), **kwargs)
         for _ in range(2))
@@ -106,7 +107,7 @@ def field(request):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_matches_oracle(field, method, backend):
     """Candidates and areas equal the brute-force oracle bit for bit,
-    on the batched and on the per-page fetch."""
+    with and without an attached injector."""
     for index in index_pair(method, field, backend):
         for query in queries_for(field):
             want, want_area = oracle_answer(index, query)
@@ -122,7 +123,7 @@ def test_matches_oracle(field, method, backend):
 @pytest.mark.parametrize("method", sorted(METHODS))
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_vectorized_equals_scalar(field, method, backend):
-    """Cold: the batched fetch matches the per-page fetch exactly."""
+    """Cold: an attached empty injector changes nothing."""
     vec, scl = index_pair(method, field, backend)
     for query in queries_for(field):
         for index in (vec, scl):
@@ -142,21 +143,6 @@ def test_vectorized_equals_scalar_warm_cache(field, method):
     assert vec.stats == scl.stats
     assert ([p.counters() for p in vec.pools()]
             == [p.counters() for p in scl.pools()])
-
-
-@pytest.mark.parametrize("method", sorted(METHODS))
-def test_attached_injector_forces_the_per_page_fetch(method):
-    """The per-page copy above really never fetches a batch."""
-    field = FIELDS["dem"]()
-    _, perpage = index_pair(method, field)
-
-    def batched(*args):
-        raise AssertionError("batched fetch under an attached injector")
-
-    perpage.store.read_pages = batched
-    perpage.store.read_page_set = batched
-    for query in queries_for(field):
-        perpage.query(query)
 
 
 # -- codec round-trips -------------------------------------------------------
