@@ -83,7 +83,7 @@ def test_update_cell(benchmark):
         cell = next(counter) % field.num_cells
         record = np.array(records[cell])
         record["vmax"] = record["vmax"] + 1.0
-        index.update_cell(cell, record)
+        index.update_cells([cell], [record])
 
     benchmark.group = "extensions: dynamic updates"
     benchmark(update)

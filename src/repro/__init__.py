@@ -37,7 +37,6 @@ from .core import (
     ValueQuery,
     conjunctive_query,
     load_index,
-    union_query,
     save_index,
 )
 from .field import (
@@ -87,7 +86,6 @@ __all__ = [
     "VolumeField",
     "conjunctive_query",
     "load_index",
-    "union_query",
     "save_index",
     "triangulate",
 ]

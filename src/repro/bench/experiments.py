@@ -386,11 +386,10 @@ def throughput(full: bool = False, queries: int | None = None,
     the :class:`~repro.core.batch.BatchQueryEngine` at each worker count,
     with the :class:`~repro.core.batch.DeviceModel` turning accounted
     page reads into real waits — the serving regime where thread-level
-    overlap pays.  Before the sweep each method's workload is executed
-    once with one worker and no device waits; every sweep point is then
-    asserted to return identical per-query answers and identical page
-    counts, so the speedups below are speedups on *provably equivalent*
-    executions.
+    overlap pays.  Every sweep point is asserted to return the
+    per-query answers, per-query I/O and total I/O of its sweep's first
+    point (one worker by default), so the speedups below are speedups
+    on *provably equivalent* executions.
 
     ``smoke=True`` shrinks everything (64² field, 24 queries, workers 1
     and 4, no JSON artifact).  Either way the run exits non-zero if the
@@ -399,21 +398,15 @@ def throughput(full: bool = False, queries: int | None = None,
     other problem.
 
     Each method is swept twice.  The *legacy* sweep (``merge=False``,
-    no cache) reproduces the PR-8 baseline configuration so q/s stays
+    no cache) keeps the original baseline configuration so q/s stays
     comparable across commits.  The *pipeline* sweep is the serving
     configuration — merged fetch groups, a shared
     :data:`~repro.core.batch.DEFAULT_BATCH_CACHE_PAGES`-page buffer
-    pool, and batched page-run fetches — whose oracle is one
-    single-worker reference run (with an empty
-    :class:`~repro.storage.faults.FaultInjector` attached, whose hook
-    runs on every read of the same batched path): every pipelined
-    point must match that oracle byte for byte (per-query answers,
-    per-query I/O, and total I/O accounting), so the speedup it
-    reports is a speedup on a provably equivalent execution.
+    pool, and batched page-run fetches.
     """
     from ..core import BatchQueryEngine, DeviceModel
     from ..core.batch import DEFAULT_BATCH_CACHE_PAGES
-    from ..storage import FaultInjector, IOStats
+    from ..storage import IOStats
 
     if smoke:
         size, per_q, worker_counts = 64, 4, (1, 4)
@@ -438,9 +431,10 @@ def throughput(full: bool = False, queries: int | None = None,
         f"{'speedup':>8} {'pages':>9} {'random':>8} {'seq':>9}",
     ]
 
-    def sweep(index, name, reference, cache_pages, merge):
+    def sweep(index, name, cache_pages, merge):
         """(workers, wall s, q/s, I/O) at each worker count; every run's
-        answers and I/O are asserted equal to ``reference``'s."""
+        answers and I/O are asserted equal to the first run's."""
+        reference = None
         for n_workers in worker_counts:
             index.clear_caches()
             index.stats.reset()
@@ -450,6 +444,8 @@ def throughput(full: bool = False, queries: int | None = None,
             t0 = time.perf_counter()
             par = engine.run(workload, estimate=estimate)
             wall = time.perf_counter() - t0
+            if reference is None:
+                reference = par
             for r_ref, r_par in zip(reference.results, par.results):
                 assert r_ref.candidate_count == r_par.candidate_count, name
                 assert r_ref.area == r_par.area, name
@@ -463,15 +459,9 @@ def throughput(full: bool = False, queries: int | None = None,
         t0 = time.perf_counter()
         index = factory(field)
         build_seconds = time.perf_counter() - t0
-        # One-worker reference: same groups, no device waits — the
-        # answer and page-count oracle for every sweep point.
-        index.clear_caches()
-        index.stats.reset()
-        serial = BatchQueryEngine(index, cache_pages=0, merge=False).run(
-            workload, estimate=estimate)
         qps_by_workers = {}
         points = []
-        for n_workers, wall, qps, io in sweep(index, name, serial, 0, False):
+        for n_workers, wall, qps, io in sweep(index, name, 0, False):
             qps_by_workers[n_workers] = qps
             speedup = qps / qps_by_workers[worker_counts[0]]
             lines.append(
@@ -483,20 +473,10 @@ def throughput(full: bool = False, queries: int | None = None,
                 speedup_vs_1=round(speedup, 3), page_reads=io.page_reads,
                 random_reads=io.random_reads,
                 sequential_reads=io.sequential_reads))
-        # Pipeline sweep: merged groups + shared pool + batched page
-        # runs, checked byte-for-byte against a one-worker reference
-        # run with an empty injector attached.
+        # Pipeline sweep: merged groups + shared pool + batched page runs.
         cache = DEFAULT_BATCH_CACHE_PAGES
-        index.inject_faults(FaultInjector())
-        index.clear_caches()
-        index.stats.reset()
-        oracle = BatchQueryEngine(index, cache_pages=cache,
-                                  merge=True).run(workload,
-                                                  estimate=estimate)
-        index.inject_faults(None)
         pipeline = []
-        for n_workers, wall, qps, io in sweep(index, name, oracle, cache,
-                                              True):
+        for n_workers, wall, qps, io in sweep(index, name, cache, True):
             vs_legacy = qps / qps_by_workers[n_workers]
             lines.append(
                 f"{name + '+pipe':>12} {n_workers:>8} {wall:>8.2f} "
@@ -511,10 +491,11 @@ def throughput(full: bool = False, queries: int | None = None,
         methods.append(MethodSweep(
             method=name, build_seconds=round(build_seconds, 3),
             data_pages=index.data_pages, index_pages=index.index_pages,
-            serial_page_reads=serial.io.page_reads, points=points,
-            pipeline=Pipeline(cache_pages=cache, merge=True,
-                              perpage_oracle_page_reads=oracle.io.page_reads,
-                              points=pipeline)))
+            serial_page_reads=points[0].page_reads, points=points,
+            pipeline=Pipeline(
+                cache_pages=cache, merge=True,
+                perpage_oracle_page_reads=pipeline[0].page_reads,
+                points=pipeline)))
         del index
     lines += [
         "",
@@ -554,7 +535,7 @@ def micro(full: bool = False, seed: int = 0, smoke: bool = False,
     the CI regression gate.  Kernel input sizes are identical in both
     modes, so ns/op is comparable across them.
     """
-    from ..core import CostBasedGrouping, bulk_build, group_cells
+    from ..core import CostBasedGrouping, group_cells
     from ..curves import HilbertCurve2D
     from ..field.interpolation import triangle_band_fraction
     from ..geometry import Rect
@@ -659,7 +640,11 @@ def micro(full: bool = False, seed: int = 0, smoke: bool = False,
     inc_side = 16 if smoke else 32
 
     bulk_field = roseburg_like(cells_per_side=bulk_side)
-    _, bulk_rep = bulk_build(bulk_field, method="I-Hilbert")
+    t0 = time.perf_counter()
+    bulk_index = IHilbertIndex(bulk_field)
+    bulk_s = time.perf_counter() - t0
+    bulk_cells = len(bulk_index.store)
+    bulk_cps = bulk_cells / bulk_s if bulk_s > 0 else float("inf")
 
     inc_field = roseburg_like(cells_per_side=inc_side)
     t0 = time.perf_counter()
@@ -668,17 +653,20 @@ def micro(full: bool = False, seed: int = 0, smoke: bool = False,
     inc_cps = inc_field.num_cells / inc_s
 
     ingest = Ingest(
-        bulk=BulkIngest(**dict(
-            bulk_rep.to_dict(),
-            cells_per_second=round(bulk_rep.cells_per_second),
-            build_seconds=round(bulk_rep.build_seconds, 4))),
+        bulk=BulkIngest(
+            method=bulk_index.name, cells=bulk_cells,
+            build_seconds=round(bulk_s, 4),
+            cells_per_second=round(bulk_cps),
+            data_pages=bulk_index.data_pages,
+            index_pages=bulk_index.index_pages,
+            subfields=len(bulk_index.subfields)),
         incremental=IncrementalIngest(
             method="I-All (per-insert R* path)", cells=inc_field.num_cells,
             build_seconds=round(inc_s, 4),
             cells_per_second=round(inc_cps, 1),
             note="measured at small n; upper bound on 1M-cell rate"),
         speedup_bulk_vs_incremental=round(
-            bulk_rep.cells_per_second / inc_cps, 1))
+            bulk_cps / inc_cps, 1))
 
     lines = [
         "== micro: query hot path + ingestion kernels ==",
@@ -694,9 +682,8 @@ def micro(full: bool = False, seed: int = 0, smoke: bool = False,
             f"{stats.median_ns_per_op:>13.1f}")
     lines += [
         "",
-        f"bulk load   : {bulk_rep.cells:,} cells in "
-        f"{bulk_rep.build_seconds:.3f}s = "
-        f"{bulk_rep.cells_per_second:,.0f} cells/s (I-Hilbert)",
+        f"bulk load   : {bulk_cells:,} cells in {bulk_s:.3f}s = "
+        f"{bulk_cps:,.0f} cells/s (I-Hilbert)",
         f"incremental : {inc_field.num_cells:,} cells in {inc_s:.3f}s = "
         f"{inc_cps:,.0f} cells/s (I-All per-insert; upper bound)",
         f"speedup     : {ingest.speedup_bulk_vs_incremental:,.1f}x "

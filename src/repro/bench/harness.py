@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 from ..core.base import EstimateMode, ValueIndex
 from ..field.base import Field
 from ..obs.trace import Tracer
-from ..storage.stats import RANDOM_READ_MS, SEQUENTIAL_READ_MS, IOStats
+from ..storage.stats import SEQUENTIAL_READ_MS, IOStats
 from ..synth.queries import value_query_workload
 
 __all__ = ["ExperimentResult", "MethodSeries", "SweepPoint",
@@ -93,7 +93,6 @@ def run_experiment(name: str, field: Field,
                    qintervals: Sequence[float], queries: int = 200,
                    seed: int = 0, estimate: EstimateMode = "area",
                    cold: bool = True,
-                   random_read_ms: float = RANDOM_READ_MS,
                    sequential_read_ms: float = SEQUENTIAL_READ_MS,
                    tracer: Tracer | None = None) -> ExperimentResult:
     """Run the paper's sweep protocol for one field and several methods.
@@ -101,7 +100,9 @@ def run_experiment(name: str, field: Field,
     Parameters mirror §4: ``qintervals`` is the Qinterval axis, ``queries``
     the number of random queries per setting (paper: 200), ``estimate``
     the estimation-step mode.  ``cold=True`` drops caches before every
-    query, modelling the paper's disk-resident setting.
+    query, modelling the paper's disk-resident setting.  Simulated disk
+    time charges ``sequential_read_ms`` per sequential page read (the
+    page-size ablation scales it) and ``RANDOM_READ_MS`` per random one.
 
     When a :class:`~repro.obs.trace.Tracer` is passed, it is attached to
     each method's index in turn and every (method, Qinterval) sweep
@@ -146,7 +147,7 @@ def run_experiment(name: str, field: Field,
                     span.attrs["qinterval"] = q
                 series.points.append(
                     _run_point(index, q, workloads[q], estimate, cold,
-                               random_read_ms, sequential_read_ms))
+                               sequential_read_ms))
         result.series.append(series)
         del index
     return result
@@ -154,7 +155,6 @@ def run_experiment(name: str, field: Field,
 
 def _run_point(index: ValueIndex, qinterval: float, workload,
                estimate: EstimateMode, cold: bool,
-               random_read_ms: float,
                sequential_read_ms: float) -> SweepPoint:
     total_ms = 0.0
     io = IOStats()
@@ -171,8 +171,7 @@ def _run_point(index: ValueIndex, qinterval: float, workload,
         if res.area is not None:
             area += res.area
     n = len(workload)
-    disk_ms = io.simulated_cost(random_read=random_read_ms,
-                                sequential_read=sequential_read_ms) / n
+    disk_ms = io.simulated_cost(sequential_read=sequential_read_ms) / n
     return SweepPoint(
         qinterval=qinterval,
         queries=n,

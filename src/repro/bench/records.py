@@ -239,11 +239,11 @@ class PipelinePoint(Record):
 
 @dataclass
 class Pipeline(Record):
-    """The serving configuration's sweep and its one-worker oracle.
+    """The serving configuration's sweep and its one-worker reference.
 
     ``perpage_oracle_page_reads`` keeps its name from when that
-    reference ran a per-page fetch; it is a one-worker run of the same
-    batched reads with an empty fault injector attached.
+    reference ran a per-page fetch; it is the page count of the sweep's
+    first (one-worker) point.
     """
 
     cache_pages: int = _min(1)
@@ -628,7 +628,7 @@ class Kernel(Record):
 
 @dataclass
 class BulkIngest(Record):
-    """``bulk_build``'s report on the large field."""
+    """The timed I-Hilbert build of the large field."""
 
     method: str
     cells: int

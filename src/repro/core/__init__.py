@@ -22,7 +22,6 @@ from .cost import (
     ThresholdGrouping,
     group_cells,
 )
-from .bulkload import BulkLoadReport, bulk_build
 from .facade import (
     EngineFacade,
     FacadeError,
@@ -36,16 +35,9 @@ from .ihilbert import IHilbertIndex, default_curve_order, linearize
 from .iquadtree import IntervalQuadtreeIndex
 from .intervaltree import ITreeIndex
 from .linearscan import LinearScanIndex
-from .multiband import (
-    MultiBandResult,
-    complement_bands,
-    intersect_bands,
-    normalize_bands,
-    union_query,
-)
 from .multifield import MultiFieldResult, conjunctive_query
 from .persist import PersistError, load_index, save_index
-from .planner import CostConstants, Plan, PlannedIndex
+from .planner import Plan, PlannedIndex
 from .statistics import FieldStatistics
 from .pointindex import PointIndex
 from .query import QueryResult, ValueQuery
@@ -66,8 +58,6 @@ __all__ = [
     "fit_aggregate_models",
     "BatchQueryEngine",
     "BatchResult",
-    "BulkLoadReport",
-    "bulk_build",
     "QueryGroup",
     "merge_queries",
     "run_sequential",
@@ -86,13 +76,7 @@ __all__ = [
     "IntervalQuadtreeIndex",
     "LinearScanIndex",
     "METHODS",
-    "MultiBandResult",
     "MultiFieldResult",
-    "complement_bands",
-    "intersect_bands",
-    "normalize_bands",
-    "union_query",
-    "CostConstants",
     "DeviceModel",
     "PersistError",
     "Plan",

@@ -14,7 +14,6 @@ from __future__ import annotations
 import abc
 from collections.abc import Callable
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Literal
 
 import numpy as np
@@ -141,8 +140,6 @@ class ValueIndex(abc.ABC):
     cache_pages:
         Buffer-pool capacity for the data file (0 = every access hits the
         simulated disk, the paper's cold setting).
-    stats:
-        Optional shared I/O counter (a private one is created otherwise).
     page_size:
         Page size of the simulated store (default 4 KiB, the paper's).
     retry_policy:
@@ -163,12 +160,11 @@ class ValueIndex(abc.ABC):
     name: str = "method"
 
     def __init__(self, field: Field, cache_pages: int = 0,
-                 stats: IOStats | None = None,
                  page_size: int = PAGE_SIZE,
                  retry_policy: RetryPolicy | None = None,
                  disk_backend: DiskBackend = DiskManager) -> None:
-        self._init_state(field, type(field), stats=stats,
-                         page_size=page_size, retry_policy=retry_policy,
+        self._init_state(field, type(field), page_size=page_size,
+                         retry_policy=retry_policy,
                          disk_backend=disk_backend)
         self.data_disk = self._make_disk("data")
         self.store = RecordStore(self.data_disk, field.record_dtype,
@@ -477,20 +473,9 @@ class ValueIndex(abc.ABC):
             raise ValueError(
                 f"unknown crash point {crash_point!r}; expected one of "
                 f"{UPDATE_CRASH_POINTS}")
-        cell_ids = np.asarray(cell_ids, dtype=np.int64).ravel()
-        records = np.asarray(records, dtype=self.store.dtype).ravel()
-        if len(cell_ids) != len(records):
-            raise ValueError(
-                f"{len(cell_ids)} cell ids vs {len(records)} records")
+        cell_ids, records = self._checked_batch(cell_ids, records)
         if len(cell_ids) == 0:
             return
-        # Validate before logging: a bad id or value must fail fast,
-        # not poison the WAL and fail again on every replay.
-        if cell_ids.min() < 0 or cell_ids.max() >= len(self.store):
-            raise IndexError(
-                f"cell ids must lie in [0, {len(self.store)}); got "
-                f"[{cell_ids.min()}, {cell_ids.max()}]")
-        require_finite_records(records)
         if crash_point == "pre-wal":
             raise SimulatedCrash("pre-wal")
         if self.wal is not None:
@@ -501,6 +486,28 @@ class ValueIndex(abc.ABC):
         if crash_point == "wal-appended":
             raise SimulatedCrash("wal-appended")
         self._apply_update_batch(cell_ids, records)
+
+    def _checked_batch(self, cell_ids, records
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """An update batch as flat arrays, refused when its lengths
+        differ, an id lies outside the store or a value is not finite.
+
+        Checked before logging: a bad id or value must fail fast, not
+        poison the WAL and fail again on every replay.
+        """
+        cell_ids = np.asarray(cell_ids, dtype=np.int64).ravel()
+        records = np.asarray(records, dtype=self.store.dtype).ravel()
+        if len(cell_ids) != len(records):
+            raise ValueError(
+                f"{len(cell_ids)} cell ids vs {len(records)} records")
+        if len(cell_ids) == 0:
+            return cell_ids, records
+        if cell_ids.min() < 0 or cell_ids.max() >= len(self.store):
+            raise IndexError(
+                f"cell ids must lie in [0, {len(self.store)}); got "
+                f"[{cell_ids.min()}, {cell_ids.max()}]")
+        require_finite_records(records)
+        return cell_ids, records
 
     def _apply_update_batch(self, cell_ids: np.ndarray,
                             records: np.ndarray) -> None:
@@ -518,19 +525,14 @@ class ValueIndex(abc.ABC):
         raise NotImplementedError(
             f"{type(self).__name__} does not support live updates")
 
-    def checkpoint(self, directory: str | Path) -> None:
-        """Persist the index and truncate the WAL (see ``save_index``)."""
-        from .persist import save_index
-        save_index(self, directory)
-
     def statistics(self, bins: int = 64):
         """Interval statistics that stay fresh under updates.
 
         Built from the live field while the index is pristine; after
         the first update the ground truth is the record store, so the
-        histogram is recomputed from a metadata scan whose counters
-        are rolled back (statistics are planner metadata, not query
-        work).  Cached per bin count; invalidated by every update.
+        histogram is recomputed from one read of the whole store whose
+        counters are rolled back (statistics are planner metadata, not
+        query work).  Cached per bin count; invalidated by every update.
         """
         cached = self._stat_cache.get(bins)
         if cached is not None:
@@ -540,14 +542,12 @@ class ValueIndex(abc.ABC):
             result = FieldStatistics.from_field(self.field, bins=bins)
         else:
             before = self.stats.snapshot()
-            vmins, vmaxs = [], []
-            for page in self.store.scan():
-                vmins.append(page["vmin"].astype(np.float64))
-                vmaxs.append(page["vmax"].astype(np.float64))
+            records = self.store.read_range(0, len(self.store) - 1)
             self.stats.restore(before)
             self.clear_caches()
             result = FieldStatistics.from_intervals(
-                np.concatenate(vmins), np.concatenate(vmaxs), bins=bins)
+                records["vmin"].astype(np.float64),
+                records["vmax"].astype(np.float64), bins=bins)
         self._stat_cache[bins] = result
         return result
 

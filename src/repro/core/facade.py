@@ -9,7 +9,7 @@ fields (each a built :class:`~repro.core.base.ValueIndex`), serializes
 engine access per field (the engines mutate index state and are not
 reentrant), brackets every call with buffer-pool tenant attribution,
 and runs batches through :class:`~repro.core.batch.BatchQueryEngine`
-with the handle's worker budget.  Later sharding/serving PRs grow
+with the handle's worker budget.  The shard and serve tiers grow
 behind this API instead of re-plumbing CLI internals.
 
 A field can be opened from four kinds of source:
@@ -42,6 +42,7 @@ from ..obs.trace import Tracer
 from ..storage import IOStats, PoolCounters
 from .base import EstimateMode, FaultMode, ValueIndex
 from .batch import BatchQueryEngine, BatchResult, DEFAULT_BATCH_CACHE_PAGES
+from .ihilbert import IHilbertIndex
 from .persist import load_index, save_index
 from .query import QueryResult, ValueQuery
 
@@ -141,26 +142,22 @@ class EngineFacade:
     default_cache_pages:
         Shared buffer-pool capacity lent to an engine per batch, as in
         :class:`~repro.core.batch.BatchQueryEngine`.
-    index_factory:
-        Callable ``field -> ValueIndex`` used when a source needs
-        indexing (default: I-Hilbert, the paper's winner).
+
+    A source that needs indexing (an in-memory field or a field file)
+    is indexed with I-Hilbert, the paper's winner.
     """
 
     def __init__(self, default_workers: int = 1,
-                 default_cache_pages: int = DEFAULT_BATCH_CACHE_PAGES,
-                 index_factory=None) -> None:
+                 default_cache_pages: int = DEFAULT_BATCH_CACHE_PAGES
+                 ) -> None:
         if default_workers < 1:
             raise ValueError(
                 f"default_workers must be >= 1, got {default_workers}")
         if default_cache_pages < 0:
             raise ValueError(f"default_cache_pages must be >= 0, "
                              f"got {default_cache_pages}")
-        if index_factory is None:
-            from .ihilbert import IHilbertIndex
-            index_factory = IHilbertIndex
         self.default_workers = default_workers
         self.default_cache_pages = default_cache_pages
-        self.index_factory = index_factory
         self._fields: dict[str, FieldHandle] = {}
         self._lock = threading.Lock()
 
@@ -195,47 +192,15 @@ class EngineFacade:
         if isinstance(source, ValueIndex):
             return source, "index-object"
         if isinstance(source, Field):
-            return self.index_factory(source), "field-object"
+            return IHilbertIndex(source), "field-object"
         path = Path(source)
         if path.is_dir():
             return load_index(path), str(path)
         if path.suffix in (".npy", ".npz"):
-            return self.index_factory(load_field_file(path)), str(path)
+            return IHilbertIndex(load_field_file(path)), str(path)
         raise FacadeError(
             f"{path}: unsupported field source (expected an index "
             f"directory, .npy heights, or a .npz TIN)")
-
-    def bulk_build(self, name: str, source, *, method: str = "I-Hilbert",
-                   workers: int | None = None,
-                   cache_pages: int | None = None,
-                   **build_kwargs) -> dict:
-        """Bulk-build ``source`` and open the result under ``name``.
-
-        ``source`` must be an in-memory :class:`~repro.field.base.Field`
-        or a field file (``.npy`` heights / ``.npz`` TIN) — saved index
-        directories are already built.  Extra keyword arguments pass to
-        the index constructor (``curve``, ``disk_backend``, ...).
-        Returns the field description extended with the bulk-load
-        timing report under ``"bulk"`` (see :class:`~repro.core.bulkload
-        .BulkLoadReport`).
-        """
-        from .bulkload import bulk_build
-        if isinstance(source, Field):
-            field, origin = source, "field-object"
-        else:
-            path = Path(source)
-            if path.suffix not in (".npy", ".npz"):
-                raise FacadeError(
-                    f"{path}: bulk_build needs a field source "
-                    f"(.npy heights or .npz TIN), not a built index")
-            field, origin = load_field_file(path), str(path)
-        index, report = bulk_build(field, method=method, **build_kwargs)
-        info = self.open_field(name, index, workers=workers,
-                               cache_pages=cache_pages)
-        self.handle(name).source = origin
-        info["source"] = origin
-        info["bulk"] = report.to_dict()
-        return info
 
     def close_field(self, name: str) -> None:
         """Forget an open field (its in-memory pages are released)."""

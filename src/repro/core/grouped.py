@@ -14,7 +14,7 @@ from ..field.base import Field
 from ..geometry import Rect
 from ..obs.metrics import REGISTRY
 from ..rstar import RStarTree
-from ..storage import DiskManager, IOStats, PAGE_SIZE, RetryPolicy
+from ..storage import DiskManager, PAGE_SIZE, RetryPolicy
 from .base import DiskBackend, ValueIndex
 from .cost import CostBasedGrouping, GroupingPolicy, group_cells
 from .subfield import Subfield
@@ -62,13 +62,12 @@ class GroupedIntervalIndex(ValueIndex):
 
     def __init__(self, field: Field, order: np.ndarray,
                  groups: list[tuple[int, int]], cache_pages: int = 0,
-                 stats: IOStats | None = None,
                  page_size: int = PAGE_SIZE,
                  retry_policy: RetryPolicy | None = None,
                  disk_backend: DiskBackend = DiskManager,
                  grouping: GroupingPolicy | None = None,
                  intervals=None) -> None:
-        super().__init__(field, cache_pages=cache_pages, stats=stats,
+        super().__init__(field, cache_pages=cache_pages,
                          page_size=page_size, retry_policy=retry_policy,
                          disk_backend=disk_backend)
         order = np.asarray(order, dtype=np.int64)
@@ -155,22 +154,6 @@ class GroupedIntervalIndex(ValueIndex):
 
     # -- dynamic maintenance ---------------------------------------------------
 
-    def update_cell(self, cell_id: int, new_record) -> None:
-        """Replace one cell's record (e.g. after a new measurement).
-
-        Single-cell convenience over :meth:`update_cells`: the record
-        is rewritten in place in the clustered file, the owning
-        subfield's interval is recomputed exactly from its member
-        cells, and when it changed, the subfield's entry migrates in
-        the 1-D R*-tree (delete + insert) — the index stays exact
-        under updates.  Maintenance I/O lands in ``maint_stats`` and,
-        when a WAL is attached, the change is durable before the page
-        write.
-        """
-        self.update_cells(
-            np.asarray([cell_id], dtype=np.int64),
-            np.asarray(new_record, dtype=self.store.dtype).reshape(1))
-
     def _apply_cell_updates(self, cell_ids: np.ndarray,
                             records: np.ndarray) -> None:
         self._ensure_cost_baseline()
@@ -240,10 +223,9 @@ class GroupedIntervalIndex(ValueIndex):
             return
         unit, _ = self._cost_params()
         with self._maintenance():
-            sizes = np.concatenate([
-                page["vmax"].astype(np.float64)
-                - page["vmin"].astype(np.float64) + unit
-                for page in self.store.scan()])
+            records = self.store.read_range(0, len(self.store) - 1)
+        sizes = (records["vmax"].astype(np.float64)
+                 - records["vmin"].astype(np.float64) + unit)
         self._sf_si = [float(sizes[sf.ptr_start:sf.ptr_end + 1].sum())
                        for sf in self.subfields]
         if getattr(self, "_built_costs", None) is None:

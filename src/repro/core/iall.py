@@ -14,7 +14,7 @@ import numpy as np
 from ..field.base import Field
 from ..geometry import Rect
 from ..rstar import RStarTree
-from ..storage import DiskManager, IOStats, PAGE_SIZE, RetryPolicy
+from ..storage import DiskManager, PAGE_SIZE, RetryPolicy
 from .base import DiskBackend, ValueIndex
 
 
@@ -36,11 +36,11 @@ class IAllIndex(ValueIndex):
     name = "I-All"
 
     def __init__(self, field: Field, bulk: bool = True,
-                 cache_pages: int = 0, stats: IOStats | None = None,
+                 cache_pages: int = 0,
                  page_size: int = PAGE_SIZE,
                  retry_policy: RetryPolicy | None = None,
                  disk_backend: DiskBackend = DiskManager) -> None:
-        super().__init__(field, cache_pages=cache_pages, stats=stats,
+        super().__init__(field, cache_pages=cache_pages,
                          page_size=page_size, retry_policy=retry_policy,
                          disk_backend=disk_backend)
         records = field.cell_records()

@@ -21,7 +21,7 @@ from ..curves import (
     SpaceFillingCurve,
 )
 from ..field.base import Field
-from ..storage import DiskManager, IOStats, PAGE_SIZE, RetryPolicy
+from ..storage import DiskManager, PAGE_SIZE, RetryPolicy
 from .base import DiskBackend
 from .cost import GroupingPolicy, default_grouping, group_cells
 from .grouped import GroupedIntervalIndex
@@ -94,7 +94,7 @@ class IHilbertIndex(GroupedIntervalIndex):
     def __init__(self, field: Field,
                  curve: str | SpaceFillingCurve = "hilbert",
                  grouping: GroupingPolicy | None = None,
-                 cache_pages: int = 0, stats: IOStats | None = None,
+                 cache_pages: int = 0,
                  page_size: int = PAGE_SIZE,
                  retry_policy: RetryPolicy | None = None,
                  disk_backend: DiskBackend = DiskManager) -> None:
@@ -110,8 +110,7 @@ class IHilbertIndex(GroupedIntervalIndex):
                              records["vmax"][order].astype(np.float64),
                              grouping)
         super().__init__(field, order, groups, cache_pages=cache_pages,
-                         stats=stats, page_size=page_size,
-                         retry_policy=retry_policy,
+                         page_size=page_size, retry_policy=retry_policy,
                          disk_backend=disk_backend, grouping=grouping)
 
     def describe(self) -> dict:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..field.base import Field
-from ..storage import IOStats
 from .base import ValueIndex
 
 
@@ -119,9 +118,8 @@ class ITreeIndex(ValueIndex):
 
     name = "I-Tree"
 
-    def __init__(self, field: Field, cache_pages: int = 0,
-                 stats: IOStats | None = None) -> None:
-        super().__init__(field, cache_pages=cache_pages, stats=stats)
+    def __init__(self, field: Field, cache_pages: int = 0) -> None:
+        super().__init__(field, cache_pages=cache_pages)
         records = field.cell_records()
         self.store.extend(records)
         self.root = build_interval_tree(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..field.base import Field
-from ..storage import DiskManager, IOStats, PAGE_SIZE, RetryPolicy
+from ..storage import DiskManager, PAGE_SIZE, RetryPolicy
 from .base import DiskBackend
 from .cost import ThresholdGrouping
 from .grouped import GroupedIntervalIndex
@@ -44,7 +44,6 @@ class IntervalQuadtreeIndex(GroupedIntervalIndex):
 
     def __init__(self, field: Field, threshold: float | None = None,
                  unit: float = 1.0, cache_pages: int = 0,
-                 stats: IOStats | None = None,
                  page_size: int = PAGE_SIZE,
                  retry_policy: RetryPolicy | None = None,
                  disk_backend: DiskBackend = DiskManager) -> None:
@@ -92,7 +91,7 @@ class IntervalQuadtreeIndex(GroupedIntervalIndex):
 
         divide(np.arange(field.num_cells), xmin, ymin, side, 0)
         super().__init__(field, np.asarray(order), groups,
-                         cache_pages=cache_pages, stats=stats,
+                         cache_pages=cache_pages,
                          page_size=page_size, retry_policy=retry_policy,
                          disk_backend=disk_backend,
                          grouping=ThresholdGrouping(threshold, unit=unit))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..field.base import Field
-from ..storage import DiskManager, IOStats, PAGE_SIZE, RetryPolicy
+from ..storage import DiskManager, PAGE_SIZE, RetryPolicy
 from .base import DiskBackend, ValueIndex
 
 
@@ -21,11 +21,10 @@ class LinearScanIndex(ValueIndex):
     name = "LinearScan"
 
     def __init__(self, field: Field, cache_pages: int = 0,
-                 stats: IOStats | None = None,
                  page_size: int = PAGE_SIZE,
                  retry_policy: RetryPolicy | None = None,
                  disk_backend: DiskBackend = DiskManager) -> None:
-        super().__init__(field, cache_pages=cache_pages, stats=stats,
+        super().__init__(field, cache_pages=cache_pages,
                          page_size=page_size, retry_policy=retry_policy,
                          disk_backend=disk_backend)
         self.store.extend(field.cell_records())

@@ -37,7 +37,7 @@ from ..field.dem import DEMField
 from ..field.tin import TINField
 from ..field.volume import VolumeField
 from ..rstar import RStarTree
-from ..storage import IOStats, RecordStore
+from ..storage import RecordStore
 from ..storage.scrub import file_sha256, manifest_entry_problem
 from ..storage.snapshot import (SnapshotError, commit_file, load_disk,
                                 maybe_crash, read_json, save_disk)
@@ -201,25 +201,21 @@ def save_index(index, directory: str | Path,
         wal.checkpoint()
 
 
-def load_index(directory: str | Path, cache_pages: int = 0,
-               stats: IOStats | None = None, verify: bool = True,
-               replay_wal: bool = True):
+def load_index(directory: str | Path, cache_pages: int = 0):
     """Reload an index saved by :func:`save_index`.
 
     The returned object answers queries exactly like the original (same
     records, same subfields, same tree pages); it carries no in-memory
-    field, so ``index.field`` is None.  With ``verify=True`` (default)
-    every file is checked against its manifest SHA-256 and every page
-    frame against its checksum before the index is handed back, so
-    on-disk corruption raises :class:`PersistError` instead of
-    producing silently wrong answers.
+    field, so ``index.field`` is None.  Every file is checked against
+    its manifest size and SHA-256 and every page frame against its
+    checksum before the index is handed back, so on-disk corruption
+    raises :class:`PersistError` instead of producing silently wrong
+    answers.
 
-    With ``replay_wal=True`` (default) a ``wal.log`` next to the
-    manifest is opened and its pending batches — updates acknowledged
-    after the saved generation committed — are re-applied before the
-    index is returned; the log stays attached, so further updates keep
-    being journaled.  ``replay_wal=False`` returns the checkpointed
-    state as-is and leaves the log untouched.
+    A ``wal.log`` next to the manifest is opened and its pending
+    batches — updates acknowledged after the saved generation
+    committed — are re-applied before the index is returned; the log
+    stays attached, so further updates keep being journaled.
     """
     directory = Path(directory)
     meta = read_json(directory / "meta.json")
@@ -239,33 +235,30 @@ def load_index(directory: str | Path, cache_pages: int = 0,
             f"{meta['field_type']!r}") from None
     files = meta["files"]
     for role, entry in files.items():
-        problem = manifest_entry_problem(directory, entry, verify=verify)
+        problem = manifest_entry_problem(directory, entry)
         if problem is not None:
             raise PersistError(
                 f"{directory / entry['name']} ({role} file): {problem} — "
                 f"run 'python -m repro scrub {directory}' for details")
 
     # Cell record file.
-    stats = stats if stats is not None else IOStats()
     try:
-        data_disk = load_disk(directory / files["data"]["name"],
-                              stats=stats, name="data", verify=verify)
+        data_disk = load_disk(directory / files["data"]["name"], name="data")
     except SnapshotError as exc:
         raise PersistError(str(exc)) from exc
 
     from .grouped import GroupedIntervalIndex
-    from .planner import CostConstants, PlannedIndex
+    from .planner import PlannedIndex
     if meta["method"] == PlannedIndex.name:
-        # A planner keeps planning after a reload, with default costs;
-        # the curve that ordered the cells is not in the manifest.
+        # A planner keeps planning after a reload; the curve that
+        # ordered the cells is not in the manifest.
         index = PlannedIndex.__new__(PlannedIndex)
-        index.costs = CostConstants()
         index.last_plan = None
         index.curve = None
     else:
         index = GroupedIntervalIndex.__new__(GroupedIntervalIndex)
         index.name = meta["method"]
-    index._init_state(None, field_type, stats=stats,
+    index._init_state(None, field_type, stats=data_disk.stats,
                       page_size=data_disk.page_size)
     index.data_disk = data_disk
     index.grouping = _grouping_from_meta(meta.get("grouping"))
@@ -281,8 +274,7 @@ def load_index(directory: str | Path, cache_pages: int = 0,
     ]
     try:
         index.index_disk = load_disk(directory / files["tree"]["name"],
-                                     stats=index.stats, name="sf-tree",
-                                     verify=verify)
+                                     stats=index.stats, name="sf-tree")
     except SnapshotError as exc:
         raise PersistError(str(exc)) from exc
     index.tree = RStarTree.reopen(index.index_disk, meta["tree"],
@@ -308,7 +300,7 @@ def load_index(directory: str | Path, cache_pages: int = 0,
 
     # Recovery: re-apply updates acknowledged after the checkpoint.
     wal_path = directory / "wal.log"
-    if replay_wal and wal_path.exists():
+    if wal_path.exists():
         from ..storage.wal import WalError
         try:
             wal = WriteAheadLog(wal_path)

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..field.base import Field
 from ..obs.metrics import REGISTRY
-from ..storage import DiskManager, IOStats, PAGE_SIZE, RetryPolicy
+from ..storage import DiskManager, PAGE_SIZE, RetryPolicy
 from ..storage.stats import RANDOM_READ_MS, SEQUENTIAL_READ_MS
 from .base import DiskBackend
 from .cost import GroupingPolicy
@@ -40,13 +40,9 @@ _COST_RATIO = REGISTRY.histogram(
              5.0, 10.0))
 
 
-@dataclass(frozen=True)
-class CostConstants:
-    """Relative I/O costs used by the planner (same units as the
-    harness's disk model: one sequential page read = 1)."""
-
-    random_read: float = RANDOM_READ_MS / SEQUENTIAL_READ_MS
-    sequential_read: float = 1.0
+#: Cost of one random page read in sequential page reads (the unit of
+#: every plan cost): the device model's ms ratio.
+RANDOM_READ_COST = RANDOM_READ_MS / SEQUENTIAL_READ_MS
 
 
 @dataclass(frozen=True)
@@ -60,27 +56,24 @@ class Plan:
     est_runs: int
 
 
-def estimate_plan(index, lo: float, hi: float,
-                  costs: CostConstants | None = None) -> Plan:
+def estimate_plan(index, lo: float, hi: float) -> Plan:
     """Estimate both access paths from metadata alone (no I/O).
 
     Works on any grouped (subfield) index: the filtered path's page
     count comes from the executor's own page runs
     (:meth:`~repro.core.grouped.GroupedIntervalIndex.page_runs`) over
     the intersecting subfields, and the scan path is one seek plus a
-    sequential sweep of the record file.
+    sequential sweep of the record file.  Costs are in sequential page
+    reads; a seek costs :data:`RANDOM_READ_COST`.
     """
-    costs = costs if costs is not None else CostConstants()
     page_runs = index.page_runs(
         [sf.sf_id for sf in index.subfields if sf.intersects(lo, hi)])
     pages = sum(last - first + 1 for first, last in page_runs)
     runs = len(page_runs)
     tree_reads = index.tree.height
-    filtered_cost = ((runs + tree_reads) * costs.random_read
-                     + max(0, pages - runs) * costs.sequential_read)
-    scan_cost = (costs.random_read
-                 + max(0, index.store.num_pages - 1)
-                 * costs.sequential_read)
+    filtered_cost = ((runs + tree_reads) * RANDOM_READ_COST
+                     + max(0, pages - runs))
+    scan_cost = RANDOM_READ_COST + max(0, index.store.num_pages - 1)
     path = "filtered" if filtered_cost <= scan_cost else "scan"
     return Plan(path=path, filtered_cost=filtered_cost,
                 scan_cost=scan_cost, est_pages=pages, est_runs=runs)
@@ -97,21 +90,19 @@ class PlannedIndex(IHilbertIndex):
     def __init__(self, field: Field,
                  curve: str | SpaceFillingCurve = "hilbert",
                  grouping: GroupingPolicy | None = None,
-                 cache_pages: int = 0, stats: IOStats | None = None,
-                 costs: CostConstants | None = None,
+                 cache_pages: int = 0,
                  page_size: int = PAGE_SIZE,
                  retry_policy: RetryPolicy | None = None,
                  disk_backend: DiskBackend = DiskManager) -> None:
         super().__init__(field, curve=curve, grouping=grouping,
-                         cache_pages=cache_pages, stats=stats,
+                         cache_pages=cache_pages,
                          page_size=page_size, retry_policy=retry_policy,
                          disk_backend=disk_backend)
-        self.costs = costs if costs is not None else CostConstants()
         self.last_plan: Plan | None = None
 
     def plan(self, lo: float, hi: float) -> Plan:
         """Estimate both access paths from metadata (no I/O)."""
-        plan = estimate_plan(self, lo, hi, self.costs)
+        plan = estimate_plan(self, lo, hi)
         if REGISTRY.enabled:
             _PLANS.inc(1, path=plan.path)
             _COST_RATIO.observe(

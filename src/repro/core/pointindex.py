@@ -18,11 +18,10 @@ from ..storage import DiskManager, IOStats, RecordStore
 class PointIndex:
     """Spatial index answering point (Q1) queries over a field."""
 
-    def __init__(self, field: Field, cache_pages: int = 0,
-                 stats: IOStats | None = None) -> None:
+    def __init__(self, field: Field, cache_pages: int = 0) -> None:
         self.field = field
         self.field_type = type(field)
-        self.stats = stats if stats is not None else IOStats()
+        self.stats = IOStats()
         self.data_disk = DiskManager(stats=self.stats, name="q1-data")
         self.store = RecordStore(self.data_disk, field.record_dtype,
                                  cache_pages=cache_pages)

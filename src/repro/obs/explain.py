@@ -74,8 +74,7 @@ class ExplainReport:
 
 
 def explain(index, lo: float, hi: float, *, analyze: bool = False,
-            estimate: str = "area", bins: int = 64,
-            costs=None) -> ExplainReport:
+            estimate: str = "area", bins: int = 64) -> ExplainReport:
     """Build an EXPLAIN (ANALYZE) report for ``[lo, hi]`` on ``index``.
 
     ``index`` is any grouped (subfield) index — built fresh or reloaded
@@ -85,9 +84,7 @@ def explain(index, lo: float, hi: float, *, analyze: bool = False,
     """
     from ..core.planner import PlannedIndex, estimate_plan
 
-    if costs is None:
-        costs = getattr(index, "costs", None)
-    plan = estimate_plan(index, lo, hi, costs)
+    plan = estimate_plan(index, lo, hi)
     stats = index.statistics(bins=bins)
     est_candidates = stats.estimate_candidates(lo, hi)
     est_pages_filtered = plan.est_pages + index.tree.height

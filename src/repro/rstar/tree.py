@@ -181,29 +181,6 @@ class RStarTree:
             return hits[0].copy()
         return np.concatenate(hits)
 
-    def search_entries(self, rect: Rect) -> list[Entry]:
-        """Like :meth:`search` but returning ``(rect, id)`` pairs."""
-        self._require_dim(rect)
-        if self._dirty:
-            self.flush()
-        qlows = np.asarray(rect.lows)
-        qhighs = np.asarray(rect.highs)
-        results: list[Entry] = []
-        stack = [self._root_id]
-        while stack:
-            data = self.pool.read(stack.pop())
-            is_leaf, records = Node.read_arrays(data, self.dim)
-            mask = (np.all(records["lows"] <= qhighs, axis=1)
-                    & np.all(records["highs"] >= qlows, axis=1))
-            if is_leaf:
-                results.extend(
-                    (Rect(tuple(rec["lows"]), tuple(rec["highs"])),
-                     int(rec["id"]))
-                    for rec in records[mask])
-            else:
-                stack.extend(records["id"][mask].tolist())
-        return results
-
     def bulk_load(self, rects: Sequence[Rect], idents: Iterable[int],
                   fill: float = 1.0) -> None:
         """Hilbert-pack ``rects`` into a fresh tree (Kamel–Faloutsos).

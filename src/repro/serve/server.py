@@ -30,8 +30,7 @@ the server is fully observable end-to-end (DESIGN.md §11):
   ``admission`` (queue depth at entry + wait), ``engine`` (with the
   engine's own ``query → plan/filter/fetch/estimate`` spans grafted
   underneath, recorded on a per-request tracer through the facade) and
-  ``encode``.  Sampled trees are kept in :attr:`FieldServer.sampled`
-  (and mirrored to a server-wide ``tracer`` when one is installed),
+  ``encode``.  Sampled trees are kept in :attr:`FieldServer.sampled`,
   and the response echoes the ``trace_id``.
 * **Rolling SLO metrics**: every outcome feeds a
   :class:`~repro.obs.rolling.RollingStats` window (per tenant × op
@@ -206,10 +205,6 @@ class FieldServer:
         reported by :meth:`start`.
     executor_workers:
         Thread budget for concurrent engine calls across fields.
-    tracer:
-        Optional span recorder; every sampled request's span tree is
-        mirrored onto it (installing one also forces every request to
-        be sampled, the pre-sampling behaviour).
     enable_metrics:
         Enable the process metrics registry for the server's lifetime
         (restored to its previous state on :meth:`stop`).
@@ -240,7 +235,6 @@ class FieldServer:
                  admission: AdmissionController | None = None,
                  host: str = "127.0.0.1", port: int = 0,
                  executor_workers: int = 4,
-                 tracer: Tracer | None = None,
                  enable_metrics: bool = False,
                  trace_sample_rate: float = 0.0,
                  qlog: QueryLog | None = None,
@@ -264,7 +258,6 @@ class FieldServer:
         self.host = host
         self.port = port
         self.executor_workers = executor_workers
-        self.tracer = tracer
         self.enable_metrics = enable_metrics
         self.trace_sample_rate = float(trace_sample_rate)
         self.qlog = qlog
@@ -458,16 +451,11 @@ class FieldServer:
         """Head-based sampling decision: the request's trace context.
 
         A client-supplied ``trace_id`` always samples; otherwise a coin
-        flip at ``trace_sample_rate`` (or an installed server-wide
-        tracer) does, under a freshly generated id.
+        flip at ``trace_sample_rate`` does, under a freshly generated id.
         """
-        if request.trace_id is not None:
-            sampled = True
-        elif self.trace_sample_rate > 0.0 \
-                and random.random() < self.trace_sample_rate:
-            sampled = True
-        else:
-            sampled = self.tracer is not None and self.tracer.enabled
+        sampled = request.trace_id is not None or (
+            self.trace_sample_rate > 0.0
+            and random.random() < self.trace_sample_rate)
         trace_id = request.trace_id
         if sampled and trace_id is None:
             trace_id = uuid.uuid4().hex
@@ -557,8 +545,6 @@ class FieldServer:
         if ctx.sampled and ctx.root is not None:
             self.sampled_total += 1
             self.sampled.append(ctx.root)
-            if self.tracer is not None:
-                self.tracer.roots.append(ctx.root)
             if REGISTRY.enabled:
                 _SAMPLED.inc(1, op=request.op)
         if self.qlog is None:

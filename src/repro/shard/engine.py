@@ -43,8 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core.base import (FilterStep, PAGE_SIZE, ValueIndex,
-                         require_finite_records)
+from ..core.base import FilterStep, PAGE_SIZE, ValueIndex
 from ..core.cost import default_grouping, group_cells
 from ..core.grouped import GroupedIntervalIndex
 from ..core.iall import IAllIndex
@@ -66,25 +65,9 @@ from .shardmap import (ShardMap, aligned_cut, build_shard_map,
 #: methods emit ascending cell id.
 SHARD_METHODS = ("I-Hilbert", "I-All", "LinearScan")
 
-_METHOD_ALIASES = {
-    "i-hilbert": "I-Hilbert", "ihilbert": "I-Hilbert",
-    "i-all": "I-All", "iall": "I-All",
-    "linearscan": "LinearScan", "linear-scan": "LinearScan",
-    "scan": "LinearScan",
-}
-
 
 class ShardError(Exception):
     """Sharding-layer failure (not an engine/storage fault)."""
-
-
-def _canonical_method(method: str) -> str:
-    name = _METHOD_ALIASES.get(str(method).lower())
-    if name is None:
-        raise ShardError(
-            f"unknown shard method {method!r}; expected one of "
-            f"{SHARD_METHODS}")
-    return name
 
 
 # -- the store shim ----------------------------------------------------------
@@ -110,19 +93,24 @@ class _AggregateStore:
     def num_pages(self) -> int:
         return sum(rt.index.store.num_pages for rt in self._engine.shards)
 
-    def scan(self):
-        """Pages of every shard store, in shard (= global Hilbert) order.
+    def read_range(self, rid_start: int, rid_end: int) -> np.ndarray:
+        """Records ``rid_start..rid_end`` (inclusive) of the shard stores
+        laid end to end in shard (= global Hilbert) order.
 
-        A metadata scan: each shard's counters roll back after its pages.
+        A metadata read for whole-store sweeps: every shard store is
+        read whole in one batch, and its shard's counters roll back.
         """
         self._engine._require_local("statistics")
+        chunks = []
         for rt in self._engine.shards:
             index = rt.index
             before = index.stats.snapshot()
             try:
-                yield from index.store.scan()
+                chunks.append(index.store.read_range(
+                    0, len(index.store) - 1))
             finally:
                 index.stats.restore(before)
+        return np.concatenate(chunks)[rid_start:rid_end + 1]
 
 
 # -- per-shard state ----------------------------------------------------------
@@ -193,7 +181,10 @@ class ShardedEngine(ValueIndex):
                  remote_store: SimulatedObjectStore | None = None,
                  remote_cache_pages: int = 64,
                  map_dir: str | Path | None = None) -> None:
-        method = _canonical_method(method)
+        if method not in SHARD_METHODS:
+            raise ShardError(
+                f"unknown shard method {method!r}; expected one of "
+                f"{SHARD_METHODS}")
         if "cell_id" not in (field.record_dtype.names or ()):
             raise ShardError(
                 f"{type(field).__name__} records carry no 'cell_id' "
@@ -340,12 +331,14 @@ class ShardedEngine(ValueIndex):
         with self._gather_lock:
             per_shard = []
             if self._workers is not None:
-                chunks, deltas, faults = self._workers.fetch(
+                chunks, deltas, faults, error = self._workers.fetch(
                     lo, hi, self._fault_mode)
                 for delta in deltas:
                     self.stats += delta
                     per_shard.append(delta)
                 self._query_faults.extend(faults)
+                if error is not None:
+                    raise error
             else:
                 chunks = []
                 with self.tracer.span("scatter",
@@ -428,27 +421,17 @@ class ShardedEngine(ValueIndex):
                      crash_point: str | None = None) -> None:
         """Route a global update batch to the owning shards.
 
-        Validation and WAL discipline are per shard: each sub-batch is
-        logged to the owning shard's WAL (local cell ids) before its
+        The whole batch is validated before routing, so no shard applies
+        part of a bad batch; WAL discipline is per shard: each sub-batch
+        is logged to the owning shard's WAL (local cell ids) before its
         pages are rewritten.  A simulated crash mid-routing leaves the
         already-routed shards durable and the rest untouched — exactly
         the partial-failure surface a distributed write has.
         """
         self._require_local("update_cells")
-        cell_ids = np.asarray(cell_ids, dtype=np.int64).ravel()
-        records = np.asarray(records, dtype=self.store.dtype).ravel()
-        if len(cell_ids) != len(records):
-            raise ValueError(
-                f"{len(cell_ids)} cell ids vs {len(records)} records")
+        cell_ids, records = self._checked_batch(cell_ids, records)
         if len(cell_ids) == 0:
             return
-        n = len(self.store)
-        if cell_ids.min() < 0 or cell_ids.max() >= n:
-            raise IndexError(
-                f"cell ids must lie in [0, {n}); got "
-                f"[{cell_ids.min()}, {cell_ids.max()}]")
-        # Refused before routing, so no shard applies a partial batch.
-        require_finite_records(records)
         positions = self._inverse[cell_ids]
         owners = self.shard_map.assign_positions(positions)
         for shard_id in np.unique(owners):
@@ -737,8 +720,6 @@ class ShardedEngine(ValueIndex):
                     child.unlink() if child.is_file() else child.rmdir()
                 path.rmdir()
 
-    checkpoint = save
-
     @classmethod
     def load(cls, directory: str | Path, field: Field | None = None,
              cache_pages: int = 0) -> "ShardedEngine":
@@ -747,7 +728,7 @@ class ShardedEngine(ValueIndex):
         With ``field`` the full API returns (rebalance splits need the
         Hilbert keys); without it the engine still queries, updates,
         merges, and saves — the global order is recovered from the
-        shards' ``cell_id`` columns via a rolled-back metadata scan.
+        shards' ``cell_id`` columns via a rolled-back metadata read.
         """
         directory = Path(directory)
         smap, extra = load_shard_map(directory)
@@ -763,8 +744,8 @@ class ShardedEngine(ValueIndex):
         engine.shards = shards
         engine.shard_map = smap
         engine._next_uid = max(extra["uids"]) + 1
-        order = np.concatenate([page["cell_id"].astype(np.int64)
-                                for page in engine.store.scan()])
+        order = engine.store.read_range(
+            0, len(engine.store) - 1)["cell_id"].astype(np.int64)
         engine._start_cold()
         keys = None
         if field is not None:

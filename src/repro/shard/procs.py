@@ -5,7 +5,11 @@ numpy record stores, buffer pools, R*-trees — transfer to the children
 as inherited memory, never pickled.  The parent scatters a query over
 the pipes and gathers, per shard, the candidate bytes, the shard's
 IOStats delta (folded into the coordinator's counters exactly as the
-in-process transport folds them), and any survived page faults.
+in-process transport folds them), and any survived page faults.  A
+failed step sends its delta and faults too, plus the error: a
+:class:`~repro.storage.faults.CorruptPageError` or
+:class:`~repro.storage.faults.TransientIOError` as its disk, page id
+and detail, so the parent raises the same typed error.
 
 While a pool is live the parent's shard copies are frozen replicas:
 the coordinator refuses mutating verbs until :meth:`ShardWorkerPool.close`,
@@ -21,8 +25,12 @@ from dataclasses import asdict
 import numpy as np
 
 from ..core.base import FilterStep
-from ..storage import IOStats, PageFault
+from ..storage import CorruptPageError, IOStats, PageFault, TransientIOError
 from ..storage.codec import decode_records
+
+#: Storage errors a worker reports by type; the parent rebuilds the
+#: class named here (a remote fetch error comes back a TransientIOError).
+_TYPED_ERRORS = (CorruptPageError, TransientIOError)
 
 
 class ShardWorkerPool:
@@ -49,30 +57,31 @@ class ShardWorkerPool:
             self._dtypes.append(rt.index.store.dtype)
 
     def fetch(self, lo: float, hi: float, fault_mode: str):
-        """Scatter one filtering step; gather (chunks, deltas, faults).
+        """Scatter one filtering step; gather ``(chunks, deltas, faults,
+        error)``.
 
         The scatter is issued to every worker before any gather, so the
         shards genuinely overlap; results are gathered in shard order,
-        which keeps the merge deterministic.
+        which keeps the merge deterministic.  Every reply's IOStats
+        delta and faults are gathered, a failed step's too.  ``error``
+        is the first failed shard's exception, for the caller to raise
+        once it has folded the deltas: the typed storage error the
+        worker hit, or :class:`~repro.shard.engine.ShardError` for any
+        other failure.
         """
         for conn in self._conns:
             conn.send(("fetch", float(lo), float(hi), fault_mode))
         chunks, deltas, faults = [], [], []
-        failure = None
+        error = None
         for conn, dtype in zip(self._conns, self._dtypes):
-            reply = conn.recv()
-            if reply[0] == "ok":
-                _, raw, delta_dict, fault_tuples = reply
-                chunks.append(decode_records(raw, dtype))
-                deltas.append(IOStats(**delta_dict))
-                faults.extend(PageFault(*tup) for tup in fault_tuples)
-            elif failure is None:
-                failure = reply
-        if failure is not None:
-            from .engine import ShardError
-            raise ShardError(
-                f"shard worker failed: {failure[1]}: {failure[2]}")
-        return chunks, deltas, faults
+            status, body, delta_dict, fault_tuples = conn.recv()
+            deltas.append(IOStats(**delta_dict))
+            faults.extend(PageFault(*tup) for tup in fault_tuples)
+            if status == "ok":
+                chunks.append(decode_records(body, dtype))
+            elif error is None:
+                error = _rebuild_error(*body)
+        return chunks, deltas, faults, error
 
     def close(self) -> None:
         """Shut down the workers (graceful close, then terminate)."""
@@ -99,17 +108,29 @@ def _worker_main(conn, index) -> None:
         if request[0] == "close":
             break
         if request[0] != "fetch":   # pragma: no cover - protocol guard
-            conn.send(("err", "ProtocolError", f"unknown {request[0]!r}"))
+            conn.send(("err", ("ProtocolError", f"unknown {request[0]!r}"),
+                       asdict(IOStats()), []))
             continue
         _, lo, hi, fault_mode = request
         step = FilterStep(index, fault_mode)
         try:
-            records = step.run(lo, hi)
-        except Exception as exc:   # typed errors flatten at the boundary
-            conn.send(("err", type(exc).__name__, str(exc)))
-            continue
+            reply = ("ok", np.ascontiguousarray(step.run(lo, hi)).tobytes())
+        except _TYPED_ERRORS as exc:
+            kind = next(c for c in _TYPED_ERRORS if isinstance(exc, c))
+            reply = ("err", (kind.__name__, exc.disk, exc.page_id,
+                             exc.detail))
+        except Exception as exc:   # other errors flatten at the boundary
+            reply = ("err", (type(exc).__name__, str(exc)))
         faults = [(f.disk, f.page_id, f.kind, f.detail)
                   for f in step.faults]
-        conn.send(("ok", np.ascontiguousarray(records).tobytes(),
-                   asdict(step.io), faults))
+        conn.send(reply + (asdict(step.io), faults))
     conn.close()
+
+
+def _rebuild_error(kind: str, *args) -> Exception:
+    """The parent-side exception of a worker's ``("err", body)`` reply."""
+    for typed in _TYPED_ERRORS:
+        if typed.__name__ == kind:
+            return typed(*args)
+    from .engine import ShardError
+    return ShardError(f"shard worker failed: {kind}: {args[0]}")

@@ -141,7 +141,6 @@ class DiskManager:
 
     def __init__(self, stats: IOStats | None = None, name: str = "disk",
                  page_size: int = PAGE_SIZE,
-                 near_window: int | None = None,
                  retry_policy: RetryPolicy | None = None) -> None:
         if page_size <= PAGE_HEADER_SIZE:
             raise PageError(
@@ -150,8 +149,6 @@ class DiskManager:
         self.stats = stats if stats is not None else IOStats()
         self.name = name
         self.page_size = page_size
-        self.near_window = (self.NEAR_WINDOW if near_window is None
-                            else near_window)
         self.retry_policy = retry_policy
         #: Total simulated backoff delay spent on retries.
         self.simulated_backoff_ms = 0.0
@@ -215,7 +212,7 @@ class DiskManager:
         """Read pages in order; return their payloads.
 
         Every attempt to read a page is one accounted transfer,
-        sequential when it lands at most :attr:`near_window` pages
+        sequential when it lands at most :attr:`NEAR_WINDOW` pages
         past the previous one (the gap streams past the head) and
         random otherwise.  The counters are applied once per batch, in
         a ``finally`` that covers every attempted transfer, so a batch
@@ -242,7 +239,7 @@ class DiskManager:
         payloads: list = []
         seq = rand = skip = 0
         last = self._last_read
-        near = self.near_window
+        near = self.NEAR_WINDOW
         verify = self._verified_payload
         injector = self.fault_injector
         try:
@@ -389,18 +386,17 @@ class DiskManager:
                              self._lens[page_id], self._crcs[page_id])
         return header + self._pages[page_id]
 
-    def store_frame(self, page_id: int, frame: bytes,
-                    verify: bool = True) -> None:
+    def store_frame(self, page_id: int, frame: bytes) -> None:
         """Install a serialized frame (snapshot load path).
 
-        Parses and validates the frame header; with ``verify=True`` the
-        payload checksum is also recomputed and compared, raising
-        :class:`CorruptPageError` on mismatch.  Not accounted I/O.
+        Parses and validates the frame header and recomputes the
+        payload checksum, raising :class:`CorruptPageError` on a
+        mismatch.  Not accounted I/O.
         """
         self._check(page_id)
         length, crc, payload = parse_frame(self.name, page_id, frame,
                                            self.page_size)
-        if verify and page_checksum(payload) != crc:
+        if page_checksum(payload) != crc:
             raise CorruptPageError(self.name, page_id)
         self._pages[page_id] = payload
         self._crcs[page_id] = crc

@@ -43,6 +43,7 @@ class TransientIOError(PageError):
         super().__init__(f"{disk}: page {page_id}: {detail}")
         self.disk = disk
         self.page_id = page_id
+        self.detail = detail
 
 
 class CorruptPageError(PageError):
@@ -58,6 +59,7 @@ class CorruptPageError(PageError):
         super().__init__(f"{disk}: page {page_id}: {detail}")
         self.disk = disk
         self.page_id = page_id
+        self.detail = detail
 
 
 class SimulatedCrash(RuntimeError):

@@ -236,7 +236,6 @@ class RemoteDiskManager(DiskManager):
 
     def __init__(self, stats: IOStats | None = None, name: str = "disk",
                  page_size: int = PAGE_SIZE,
-                 near_window: int | None = None,
                  retry_policy: RetryPolicy | None = None, *,
                  store: SimulatedObjectStore,
                  cache_pages: int = 64,
@@ -254,7 +253,7 @@ class RemoteDiskManager(DiskManager):
         self.fetch_ms = 0.0
         self.put_ms = 0.0
         super().__init__(stats=stats, name=name, page_size=page_size,
-                         near_window=near_window, retry_policy=retry_policy)
+                         retry_policy=retry_policy)
 
     def _init_storage(self) -> None:
         #: page_id -> (payload, crc, length); insertion order = LRU.
@@ -345,12 +344,11 @@ class RemoteDiskManager(DiskManager):
         payload, crc, length = self._entry(page_id, accounted=False)
         return _pack_frame(payload, crc, length)
 
-    def store_frame(self, page_id: int, frame: bytes,
-                    verify: bool = True) -> None:
+    def store_frame(self, page_id: int, frame: bytes) -> None:
         self._check(page_id)
         length, crc, payload = parse_frame(self.name, page_id, frame,
                                            self.page_size)
-        if verify and page_checksum(payload) != crc:
+        if page_checksum(payload) != crc:
             raise CorruptPageError(self.name, page_id)
         self.store.put(self._key(page_id),
                        _pack_frame(payload, crc, length))

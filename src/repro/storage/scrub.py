@@ -105,19 +105,16 @@ def _read_manifest(directory: Path) -> dict:
     return manifest
 
 
-def manifest_entry_problem(directory: Path, entry: dict, *,
-                           verify: bool = True) -> str | None:
+def manifest_entry_problem(directory: Path, entry: dict) -> str | None:
     """What is wrong with one manifest file entry, or None.
 
-    The file must exist; with ``verify`` it must also have its recorded
-    size and then its recorded SHA-256.  :func:`scrub_index` and
-    :func:`~repro.core.persist.load_index` both check entries here.
+    The file must exist with its recorded size and then its recorded
+    SHA-256.  :func:`scrub_index`, :func:`~repro.core.persist.load_index`
+    and the shard map check entries here.
     """
     path = directory / entry["name"]
     if not path.exists():
         return "missing"
-    if not verify:
-        return None
     size = path.stat().st_size
     if size != entry["bytes"]:
         return f"size {size}, manifest says {entry['bytes']}"

@@ -133,13 +133,12 @@ def read_snapshot_header(path: str | Path) -> tuple[int, int]:
 
 
 def load_disk(path: str | Path, stats: IOStats | None = None,
-              name: str = "disk", verify: bool = True) -> DiskManager:
+              name: str = "disk") -> DiskManager:
     """Reconstruct a :class:`DiskManager` from a snapshot file.
 
-    Every page frame's header is validated; with ``verify=True``
-    (default) the payload checksums are recomputed too, so on-disk
-    corruption raises :class:`SnapshotError` naming the bad page
-    instead of producing a silently wrong index.
+    Every page frame's header is validated and its payload checksum
+    recomputed, so on-disk corruption raises :class:`SnapshotError`
+    naming the bad page instead of producing a silently wrong index.
     """
     path = Path(path)
     page_size, num_pages = read_snapshot_header(path)
@@ -158,7 +157,7 @@ def load_disk(path: str | Path, stats: IOStats | None = None,
                     f"{path}: truncated at page {page_id}")
             disk.allocate()
             try:
-                disk.store_frame(page_id, frame, verify=verify)
+                disk.store_frame(page_id, frame)
             except CorruptPageError as exc:
                 raise SnapshotError(f"{path}: {exc}") from exc
     # Loading is not accounted I/O against the simulated disk.

@@ -35,7 +35,7 @@ class IOStats:
     sequential_reads: int = 0
     random_reads: int = 0
     #: Pages skipped by short forward seeks (they stream past the head and
-    #: cost transfer time, not a full seek); see DiskManager.near_window.
+    #: cost transfer time, not a full seek); see DiskManager.NEAR_WINDOW.
     skipped_pages: int = 0
     page_writes: int = 0
     pages_allocated: int = 0

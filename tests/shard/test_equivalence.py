@@ -27,6 +27,8 @@ step's data I/O is the quantity the paper's cost model predicts.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,28 @@ def test_multiprocessing_workers_match_in_process(field, workload):
     assert len(engine.last_shard_io) == len(engine.shards)
     assert sum(d.page_reads for d in engine.last_shard_io) == \
         got[-1].io.page_reads
+
+
+def test_worker_scatter_raises_typed_error_and_folds_io():
+    """A raise-mode fault in a worker process surfaces as the typed
+    storage error, and the coordinator folds the I/O of every shard
+    step, the failed one too, exactly as the in-process scatter does."""
+    field = roseburg_like(cells_per_side=32)
+    engine = ShardedEngine(field, n_shards=2, method="I-Hilbert")
+    last = engine.shards[-1].index
+    last.data_disk._flip_bit(last.store.page_ids[1], byte_index=0, bit=0)
+    vr = field.value_range
+    seen = []
+    for transport in (contextlib.nullcontext, engine.workers):
+        engine.clear_caches()
+        engine.stats.reset()
+        with transport(), pytest.raises(CorruptPageError) as info:
+            engine.query(ValueQuery(vr.lo, vr.hi))
+        error = info.value
+        seen.append((error.disk, error.page_id, str(error),
+                     engine.stats.snapshot()))
+    assert seen[0] == seen[1]
+    assert seen[0][3].page_reads > 0
 
 
 # -- updates -----------------------------------------------------------------

@@ -2,12 +2,12 @@
 
 Every build packs pages sequentially (sort by Hilbert key → one-pass
 page pack → bottom-up R*-tree).  The one store fill must lay out the
-page ids and bytes of a record-by-record append, and ``bulk_build``
-must time an index a query cannot tell from a plain constructor call
-(for I-All, from its per-insert tree): identical answers and
-byte-identical data pages.  Persistence rides the same WAL/manifest
-machinery, so a bulk-built index must scrub clean and survive a crash
-at every save point with old-or-new semantics.
+page ids and bytes of a record-by-record append, and I-All's packed
+tree must give an index a query cannot tell from its per-insert tree:
+identical answers and byte-identical data pages.  Persistence rides
+the same WAL/manifest machinery, so a bulk-built index must scrub
+clean and survive a crash at every save point with old-or-new
+semantics.
 """
 
 from __future__ import annotations
@@ -16,11 +16,9 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    EngineFacade,
     IAllIndex,
     IHilbertIndex,
     ValueQuery,
-    bulk_build,
     load_index,
     save_index,
 )
@@ -55,23 +53,16 @@ def _data_payloads(index) -> list[bytes]:
 
 
 @pytest.mark.parametrize("fname", sorted(FIELDS))
-@pytest.mark.parametrize("method", ["I-Hilbert", "I-All"])
+@pytest.mark.parametrize("method", ["I-All"])
 def test_bulk_build_equals_incremental(fname, method):
     """Same answers, same page counts, byte-identical data pages."""
     field = FIELDS[fname]()
-    cls = {"I-Hilbert": IHilbertIndex, "I-All": IAllIndex}[method]
-    incremental = (cls(field) if method == "I-Hilbert"
-                   else cls(field, bulk=False))
-    bulk, report = bulk_build(field, method=method)
-    assert report.cells == field.num_cells
-    assert report.cells_per_second > 0
+    incremental = IAllIndex(field, bulk=False)
+    bulk = IAllIndex(field)
     # Page-count bound: the sequential pack reproduces the incremental
     # layout exactly, so the documented bound is equality.
     assert bulk.data_pages == incremental.data_pages
     assert _data_payloads(bulk) == _data_payloads(incremental)
-    if method == "I-Hilbert":
-        assert len(bulk.subfields) == len(incremental.subfields)
-        assert bulk.subfields == incremental.subfields
     for query in queries_for(field):
         ri = incremental.query(query)
         rb = bulk.query(query)
@@ -130,14 +121,8 @@ def test_bulk_extend_tail_fallback():
     assert _store_pages(store) == _store_pages(_appended_store(records))
 
 
-def test_bulk_build_rejects_unknown_method():
-    field = FIELDS["dem"]()
-    with pytest.raises(ValueError, match="unknown method"):
-        bulk_build(field, method="no-such-method")
-
-
 def test_bulk_index_scrubs_clean(tmp_path):
-    index, _ = bulk_build(FIELDS["dem"]())
+    index = IHilbertIndex(FIELDS["dem"]())
     save_index(index, tmp_path / "idx")
     report = scrub_index(tmp_path / "idx")
     assert report.ok
@@ -148,11 +133,11 @@ def test_bulk_index_crash_safe_save(tmp_path, point):
     """save_index of a bulk-built index is old-or-new at every step."""
     directory = tmp_path / "idx"
     field = FIELDS["dem"]()
-    old, _ = bulk_build(field)
+    old = IHilbertIndex(field)
     save_index(old, directory)
     old_answers = [old.query(q).area for q in queries_for(field, n=5)]
 
-    new, _ = bulk_build(field, grouping=None)
+    new = IHilbertIndex(field)
     with pytest.raises(SimulatedCrash):
         save_index(new, directory, crash_point=point)
     back = load_index(directory)
@@ -161,20 +146,6 @@ def test_bulk_index_crash_safe_save(tmp_path, point):
     # and the directory must still scrub clean — never a torn mixture.
     assert back_answers == old_answers
     assert scrub_index(directory).ok
-
-
-def test_facade_bulk_build_and_query():
-    facade = EngineFacade()
-    field = FIELDS["dem"]()
-    info = facade.bulk_build("terrain", field)
-    assert info["bulk"]["cells"] == field.num_cells
-    assert info["bulk"]["cells_per_second"] > 0
-    direct = IHilbertIndex(field)
-    for query in queries_for(field, n=5):
-        got = facade.query("terrain", query.lo, query.hi)
-        want = direct.query(query)
-        assert got.area == want.area
-        assert got.candidate_count == want.candidate_count
 
 
 def test_cli_build_bulk(tmp_path, capsys):

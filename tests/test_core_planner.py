@@ -23,7 +23,7 @@ def test_update_cell_grows_subfield_interval(smooth_dem):
     record["corners"][:] = spike
     record["vmin"] = spike
     record["vmax"] = spike
-    index.update_cell(10, record)
+    index.update_cells([10], [record])
 
     result = index.query(ValueQuery.exact(spike))
     assert result.candidate_count == 1
@@ -43,7 +43,7 @@ def test_update_cell_shrinks_subfield_interval(mono_dem):
     flat["corners"][:] = 0.0
     flat["vmin"] = 0.0
     flat["vmax"] = 0.0
-    index.update_cell(top_cell, flat)
+    index.update_cells([top_cell], [flat])
 
     # Queries at the old maximum no longer hit that cell.
     got = {int(c) for c in
@@ -61,7 +61,7 @@ def test_update_cell_consistent_with_fresh_scan(smooth_dem, rng):
         record["corners"] = new_vals
         record["vmin"] = new_vals.min()
         record["vmax"] = new_vals.max()
-        index.update_cell(cell_id, record)
+        index.update_cells([cell_id], [record])
         records[cell_id] = record
 
     for _ in range(10):
@@ -77,7 +77,7 @@ def test_update_cell_consistent_with_fresh_scan(smooth_dem, rng):
 def test_update_cell_validates_id(smooth_dem):
     index = IHilbertIndex(smooth_dem)
     with pytest.raises(IndexError):
-        index.update_cell(10 ** 9, smooth_dem.cell_records()[0])
+        index.update_cells([10 ** 9], smooth_dem.cell_records()[:1])
 
 
 # ---------------------------------------------------------------- planner

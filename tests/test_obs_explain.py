@@ -70,7 +70,7 @@ def test_analyze_reports_actuals_and_trace(smooth_dem):
 
 def test_explain_on_reloaded_index(smooth_dem, tmp_path):
     """A persisted index has no in-memory field; statistics come from a
-    rolled-back metadata scan and the report still analyzes cleanly."""
+    rolled-back metadata read and the report still analyzes cleanly."""
     save_index(IHilbertIndex(smooth_dem), tmp_path / "idx")
     index = load_index(tmp_path / "idx")
     assert index.field is None
@@ -82,8 +82,8 @@ def test_explain_on_reloaded_index(smooth_dem, tmp_path):
 
 
 def _interval_from_store(index, frac_lo, frac_w):
-    vmins = np.concatenate([p["vmin"].astype(np.float64)
-                            for p in index.store.scan()])
+    vmins = index.store.read_range(
+        0, len(index.store) - 1)["vmin"].astype(np.float64)
     index.stats.reset()
     index.clear_caches()
     lo_all, hi_all = vmins.min(), vmins.max()

@@ -83,7 +83,7 @@ class PageAtATime:
             stats.page_reads += 1
             last = disk._last_read
             gap = pid - last - 1 if last is not None else -1
-            if 0 <= gap <= disk.near_window:
+            if 0 <= gap <= disk.NEAR_WINDOW:
                 stats.sequential_reads += 1
                 stats.skipped_pages += gap
             else:

@@ -83,12 +83,12 @@ def test_insert_search_matches_brute_force():
         assert sorted(tree.search(query)) == brute_search(data, query)
 
 
-def test_search_entries_returns_rects():
+def test_search_returns_only_intersecting_ids():
     tree = RStarTree(dim=1, max_entries=4)
     tree.insert(Rect.from_interval(0.0, 1.0), 5)
     tree.insert(Rect.from_interval(10.0, 11.0), 6)
-    found = tree.search_entries(Rect.from_interval(0.5, 0.6))
-    assert found == [(Rect.from_interval(0.0, 1.0), 5)]
+    found = tree.search(Rect.from_interval(0.5, 0.6))
+    assert found.tolist() == [5]
 
 
 def test_delete_removes_only_exact_entry():

@@ -123,23 +123,26 @@ def test_rereading_same_page_is_random():
 
 
 def test_near_seek_counts_sequential_with_skips():
-    disk = DiskManager(near_window=4)
-    disk.allocate_many(10)
+    window = DiskManager.NEAR_WINDOW
+    disk = DiskManager()
+    disk.allocate_many(window + 10)
     disk.read(0)
     disk.read(3)   # gap of 2 pages, within window
     assert disk.stats.sequential_reads == 1
     assert disk.stats.skipped_pages == 2
-    disk.read(9)   # gap of 5 pages, outside window
+    disk.read(window + 5)   # gap of window + 1 pages, outside window
     assert disk.stats.random_reads == 2
 
 
-def test_near_window_zero_is_strict():
-    disk = DiskManager(near_window=0)
-    disk.allocate_many(4)
+def test_near_window_edge_is_strict():
+    window = DiskManager.NEAR_WINDOW
+    disk = DiskManager()
+    disk.allocate_many(2 * window + 4)
     disk.read(0)
-    disk.read(1)
-    disk.read(3)
+    disk.read(window + 1)       # a gap of exactly the window
+    disk.read(2 * window + 3)   # a gap of one page more
     assert disk.stats.sequential_reads == 1
+    assert disk.stats.skipped_pages == window
     assert disk.stats.random_reads == 2
 
 
@@ -229,10 +232,6 @@ def test_store_frame_rejects_corrupted_payload():
     other.allocate()
     with pytest.raises(CorruptPageError):
         other.store_frame(0, bytes(frame))
-    # An unverified install defers detection to the next read.
-    other.store_frame(0, bytes(frame), verify=False)
-    with pytest.raises(CorruptPageError):
-        other.read(0)
 
 
 def test_store_frame_rejects_bad_magic():

@@ -278,7 +278,7 @@ def test_maintenance_io_not_charged_to_query_stats():
     snapshot = index.stats.snapshot()
     record = index.field.cell_records()[3].copy()
     record["vmin"] -= 100.0
-    index.update_cell(3, record)
+    index.update_cells([3], [record])
     assert index.stats.snapshot() == snapshot   # query counters pinned
     assert index.maint_stats.page_reads > 0
     assert index.maint_stats.page_writes > 0
