@@ -10,6 +10,7 @@ import argparse
 import sys
 
 from .experiments import EXPERIMENTS, _render
+from .records import Bench
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -68,7 +69,8 @@ def main(argv: list[str] | None = None) -> int:
         options["updates"] = args.updates
     for name in names:
         result = EXPERIMENTS[name](**options)
-        print(_render(result))
+        if not isinstance(result, Bench):  # finish() printed its record
+            print(_render(result))
         print()
     return 0
 

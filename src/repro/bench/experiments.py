@@ -37,16 +37,17 @@ from ..synth import (
     value_query_workload,
 )
 from .harness import ExperimentResult, run_experiment
-from .records import (COMPACT_RECOVERY_LIMIT, AdmissionWait, Aggregate,
-                     AggregateConfig, AggregateGate, AggregateWorkload,
-                     BulkIngest, Compaction, DeviceCosts, Equivalence,
-                     FieldInfo, IncrementalIngest, Ingest, Kernel, Latency,
-                     MethodSweep, Micro, MicroGate, ModelInfo, Observability,
-                     Pipeline, PipelinePoint, PoolShare, QueryWorkload,
-                     RemoteTraffic, ScaledDeviceCosts, Serve,
-                     ServeTotals, ServerInfo, Shard, ShardPoint, Staleness,
-                     TenantRun, Throughput, ThroughputPoint, Update,
-                     UpdateField, UpdateFinal, UpdateStep, UpdateStream, load)
+from .records import (AdmissionWait, Aggregate, AggregateConfig,
+                      AggregateGate, AggregateWorkload, BulkIngest,
+                      Compaction, DeviceCosts, Equivalence, FieldInfo,
+                      IncrementalIngest, Ingest, Kernel, Latency,
+                      MethodSweep, Micro, MicroGate, ModelInfo,
+                      Observability, Pipeline, PipelinePoint, PoolShare,
+                      QueryWorkload, RemoteTraffic, ScaledDeviceCosts, Serve,
+                      ServeTotals, ServerInfo, Shard, ShardPoint, Staleness,
+                      TenantRun, Throughput, ThroughputPoint, Update,
+                      UpdateField, UpdateFinal, UpdateStep, UpdateStream,
+                      load)
 from .report import format_result
 
 #: Qinterval axes used in the paper's figures.
@@ -69,85 +70,58 @@ def standard_methods(cache_pages: int = 0) -> dict:
 WARM_CACHE_PAGES = 16384
 
 
-def _regime(warm: bool) -> dict:
-    """Harness/method settings for the cold or warm measurement regime.
+def _figure(name: str, field, qintervals: list[float], queries: int = 200,
+            seed: int = 0, estimate: str = "area", warm: bool = False,
+            **_ignored) -> ExperimentResult:
+    """One paper figure: the three methods over ``field``, cold or warm.
 
     Cold models the paper's nominal disk-resident setting (caches dropped
     per query, simulated seek/transfer time).  Warm models repeated
     queries over an OS-cached file — the regime the paper's absolute
     magnitudes suggest (see EXPERIMENTS.md) — where time is CPU-bound.
     """
-    if warm:
-        return {
-            "methods": standard_methods(cache_pages=WARM_CACHE_PAGES),
-            "cold": False,
-        }
-    return {"methods": standard_methods(), "cold": True}
+    return run_experiment(
+        name + (" [warm]" if warm else ""), field,
+        standard_methods(cache_pages=WARM_CACHE_PAGES if warm else 0),
+        qintervals, queries=queries, seed=seed, estimate=estimate,
+        cold=not warm)
 
 
-def fig8a(full: bool = True, queries: int = 200, seed: int = 0,
-          estimate: str = "area", warm: bool = False,
-          **_ignored) -> ExperimentResult:
+def fig8a(full: bool = True, **options) -> ExperimentResult:
     """Fig. 8a — real terrain DEM (Roseburg surrogate, 512×512)."""
     size = 512 if full else 128
-    field = roseburg_like(cells_per_side=size)
-    regime = _regime(warm)
-    return run_experiment(
-        f"fig8a: terrain DEM {size}x{size}"
-        + (" [warm]" if warm else ""), field, regime["methods"],
-        QINTERVALS_FIG8, queries=queries, seed=seed, estimate=estimate,
-        cold=regime["cold"])
+    return _figure(f"fig8a: terrain DEM {size}x{size}",
+                   roseburg_like(cells_per_side=size), QINTERVALS_FIG8,
+                   **options)
 
 
-def fig8b(full: bool = True, queries: int = 200, seed: int = 0,
-          estimate: str = "area", warm: bool = False,
-          **_ignored) -> ExperimentResult:
+def fig8b(full: bool = True, **options) -> ExperimentResult:
     """Fig. 8b — urban noise TIN (Lyon surrogate, ~9000 triangles)."""
-    sites = 4600 if full else 1200
-    field = lyon_like(num_sites=sites)
-    regime = _regime(warm)
-    return run_experiment(
-        f"fig8b: urban noise TIN ({field.num_cells} triangles)"
-        + (" [warm]" if warm else ""), field, regime["methods"],
-        QINTERVALS_FIG8, queries=queries, seed=seed, estimate=estimate,
-        cold=regime["cold"])
+    field = lyon_like(num_sites=4600 if full else 1200)
+    return _figure(f"fig8b: urban noise TIN ({field.num_cells} triangles)",
+                   field, QINTERVALS_FIG8, **options)
 
 
-def fig11(full: bool = False, queries: int = 200, seed: int = 0,
-          estimate: str = "area", warm: bool = False,
-          roughness_values: tuple[float, ...] = (0.1, 0.3, 0.6, 0.9),
-          **_ignored) -> list[ExperimentResult]:
+def fig11(full: bool = False, seed: int = 0,
+          **options) -> list[ExperimentResult]:
     """Fig. 11a–d — fractal DEMs across roughness H.
 
     The paper uses 1,048,576 cells (1024²); the default here is 262,144
     (512²) for pure-Python run times, with ``full=True`` restoring 1024².
     """
     size = 1024 if full else 512
-    regime = _regime(warm)
-    results = []
-    for h in roughness_values:
-        heights = fractal_dem_heights(size, h, seed=seed + int(h * 10))
-        field = DEMField(heights)
-        results.append(run_experiment(
-            f"fig11 H={h}: fractal DEM {size}x{size}"
-            + (" [warm]" if warm else ""), field,
-            regime["methods"], QINTERVALS_FIG11, queries=queries,
-            seed=seed, estimate=estimate, cold=regime["cold"]))
-    return results
+    return [_figure(f"fig11 H={h}: fractal DEM {size}x{size}",
+                    DEMField(fractal_dem_heights(size, h,
+                                                 seed=seed + int(h * 10))),
+                    QINTERVALS_FIG11, seed=seed, **options)
+            for h in (0.1, 0.3, 0.6, 0.9)]
 
 
-def fig12(full: bool = True, queries: int = 200, seed: int = 0,
-          estimate: str = "area", warm: bool = False,
-          **_ignored) -> ExperimentResult:
+def fig12(full: bool = True, **options) -> ExperimentResult:
     """Fig. 12b — monotonic field ``w = x + y`` (512×512)."""
     size = 512 if full else 128
-    field = monotonic_field(size)
-    regime = _regime(warm)
-    return run_experiment(
-        f"fig12: monotonic DEM {size}x{size}"
-        + (" [warm]" if warm else ""), field, regime["methods"],
-        QINTERVALS_FIG12, queries=queries, seed=seed, estimate=estimate,
-        cold=regime["cold"])
+    return _figure(f"fig12: monotonic DEM {size}x{size}",
+                   monotonic_field(size), QINTERVALS_FIG12, **options)
 
 
 def fig7(full: bool = False, seed: int = 0, **_ignored) -> str:
@@ -296,6 +270,14 @@ def methods_extra(full: bool = False, queries: int = 100, seed: int = 0,
         QINTERVALS_FIG8, queries=queries, seed=seed, estimate=estimate)
 
 
+def _fig8a_queries(field, per_q: int, seed: int) -> list:
+    """The Fig. 8a query mix on ``field``: ``per_q`` random queries per
+    Qinterval setting of :data:`QINTERVALS_FIG8`, drawn with ``seed``."""
+    return [query for q in QINTERVALS_FIG8
+            for query in value_query_workload(field.value_range, q,
+                                              count=per_q, seed=seed)]
+
+
 def batch_compare(full: bool = False, queries: int = 200, seed: int = 0,
                   estimate: str = "area", **_ignored) -> str:
     """Batched vs. sequential execution of the Fig. 8a workload.
@@ -312,14 +294,10 @@ def batch_compare(full: bool = False, queries: int = 200, seed: int = 0,
         DEFAULT_BATCH_CACHE_PAGES,
         run_sequential,
     )
-    from ..synth import value_query_workload
 
     size = 512 if full else 256
     field = roseburg_like(cells_per_side=size)
-    workload = []
-    for q in QINTERVALS_FIG8:
-        workload += value_query_workload(field.value_range, q,
-                                         count=queries, seed=seed)
+    workload = _fig8a_queries(field, queries, seed)
     methods = {
         "LinearScan": LinearScanIndex,
         "I-All": IAllIndex,
@@ -344,10 +322,11 @@ def batch_compare(full: bool = False, queries: int = 200, seed: int = 0,
         # Full engine: merged overlapping intervals + shared pool.
         index.clear_caches()
         batch = BatchQueryEngine(index).run(workload, estimate=estimate)
-        for r_seq, r_one, r_bat in zip(seq.results, cache_only.results,
-                                       batch.results):
-            assert r_seq.candidate_count == r_bat.candidate_count, name
-            assert r_seq.candidate_count == r_one.candidate_count, name
+        if any(r_seq.candidate_count != r.candidate_count
+               for run in (cache_only, batch)
+               for r_seq, r in zip(seq.results, run.results)):
+            raise SystemExit(f"batch FAILED: {name}'s batched candidate "
+                             f"counts differ from sequential ones")
         saved = 1.0 - batch.io.page_reads / max(seq.io.page_reads, 1)
         lines.append(
             f"{name:>12} {seq.io.page_reads:>12} "
@@ -367,18 +346,10 @@ def batch_compare(full: bool = False, queries: int = 200, seed: int = 0,
     return "\n".join(lines)
 
 
-def _fig8a_queries(field, per_q: int, seed: int) -> list:
-    """The Fig. 8a query mix on ``field``: ``per_q`` random queries per
-    Qinterval setting of :data:`QINTERVALS_FIG8`, drawn with ``seed``."""
-    return [query for q in QINTERVALS_FIG8
-            for query in value_query_workload(field.value_range, q,
-                                              count=per_q, seed=seed)]
-
-
 def throughput(full: bool = False, queries: int | None = None,
                seed: int = 0, estimate: str = "area",
                workers: tuple[int, ...] = (1, 2, 4, 8),
-               smoke: bool = False, **_ignored) -> str:
+               smoke: bool = False, **_ignored) -> Throughput:
     """Queries/sec vs worker count on the Fig. 8a workload.
 
     Runs the Fig. 8a query mix against LinearScan, I-All and I-Hilbert
@@ -386,23 +357,25 @@ def throughput(full: bool = False, queries: int | None = None,
     the :class:`~repro.core.batch.BatchQueryEngine` at each worker count,
     with the :class:`~repro.core.batch.DeviceModel` turning accounted
     page reads into real waits — the serving regime where thread-level
-    overlap pays.  Every sweep point is asserted to return the
-    per-query answers, per-query I/O and total I/O of its sweep's first
-    point (one worker by default), so the speedups below are speedups
-    on *provably equivalent* executions.
+    overlap pays.  Every sweep point is checked to return the per-query
+    answers, per-query I/O and total I/O of its sweep's first point (one
+    worker by default), so the speedups are speedups on *provably
+    equivalent* executions.
 
     ``smoke=True`` shrinks everything (64² field, 24 queries, workers 1
-    and 4, no JSON artifact).  Either way the run exits non-zero if the
-    last worker count fails to beat the first (the CI regression gate)
-    or if its :class:`~repro.bench.records.Throughput` record has any
-    other problem.
+    and 4, no JSON artifact).  Either way the run exits non-zero if a
+    sweep point differs, if the last worker count fails to beat the
+    first (the CI regression gate) or if its
+    :class:`~repro.bench.records.Throughput` record has any other
+    problem.
 
     Each method is swept twice.  The *legacy* sweep (``merge=False``,
     no cache) keeps the original baseline configuration so q/s stays
     comparable across commits.  The *pipeline* sweep is the serving
     configuration — merged fetch groups, a shared
     :data:`~repro.core.batch.DEFAULT_BATCH_CACHE_PAGES`-page buffer
-    pool, and batched page-run fetches.
+    pool, and batched page-run fetches; its speedup is relative to the
+    legacy sweep at the same worker count.
     """
     from ..core import BatchQueryEngine, DeviceModel
     from ..core.batch import DEFAULT_BATCH_CACHE_PAGES
@@ -417,23 +390,11 @@ def throughput(full: bool = False, queries: int | None = None,
     field = roseburg_like(cells_per_side=size)
     workload = _fig8a_queries(field, per_q, seed)
     device = DeviceModel()
-
-    lines = [
-        f"== throughput: batch engine workers on Fig. 8a workload "
-        f"({size}x{size} terrain) ==",
-        f"queries: {len(workload)} ({per_q} per Qinterval setting "
-        f"{QINTERVALS_FIG8}), seed={seed}, estimate={estimate}",
-        f"device model: {device.random_read_ms} ms random / "
-        f"{device.sequential_read_ms} ms sequential per page "
-        f"(x{device.scale:g})",
-        "",
-        f"{'method':>12} {'workers':>8} {'wall s':>8} {'q/s':>8} "
-        f"{'speedup':>8} {'pages':>9} {'random':>8} {'seq':>9}",
-    ]
+    failures: list[str] = []
 
     def sweep(index, name, cache_pages, merge):
-        """(workers, wall s, q/s, I/O) at each worker count; every run's
-        answers and I/O are asserted equal to the first run's."""
+        """(workers, wall s, q/s, I/O) at each worker count; a run whose
+        answers or I/O differ from the first run's is a failure."""
         reference = None
         for n_workers in worker_counts:
             index.clear_caches()
@@ -446,12 +407,15 @@ def throughput(full: bool = False, queries: int | None = None,
             wall = time.perf_counter() - t0
             if reference is None:
                 reference = par
-            for r_ref, r_par in zip(reference.results, par.results):
-                assert r_ref.candidate_count == r_par.candidate_count, name
-                assert r_ref.area == r_par.area, name
-                assert r_ref.io == r_par.io, name
-            assert reference.io == par.io, name
-            assert sum(par.worker_io, IOStats()) == par.io, name
+            differ = sum((a.candidate_count, a.area, a.io)
+                         != (b.candidate_count, b.area, b.io)
+                         for a, b in zip(reference.results, par.results))
+            if differ or reference.io != par.io \
+                    or sum(par.worker_io, IOStats()) != par.io:
+                failures.append(
+                    f"{name} workers={n_workers} merge={merge}: {differ} "
+                    f"answers or the I/O totals differ from "
+                    f"workers={worker_counts[0]}")
             yield n_workers, wall, len(workload) / wall, par.io
 
     methods = []
@@ -459,33 +423,20 @@ def throughput(full: bool = False, queries: int | None = None,
         t0 = time.perf_counter()
         index = factory(field)
         build_seconds = time.perf_counter() - t0
-        qps_by_workers = {}
-        points = []
+        legacy_qps, points = {}, []
         for n_workers, wall, qps, io in sweep(index, name, 0, False):
-            qps_by_workers[n_workers] = qps
-            speedup = qps / qps_by_workers[worker_counts[0]]
-            lines.append(
-                f"{name:>12} {n_workers:>8} {wall:>8.2f} {qps:>8.1f} "
-                f"{speedup:>7.2f}x {io.page_reads:>9} "
-                f"{io.random_reads:>8} {io.sequential_reads:>9}")
+            legacy_qps[n_workers] = qps
             points.append(ThroughputPoint(
                 workers=n_workers, wall_s=round(wall, 4), qps=round(qps, 2),
-                speedup_vs_1=round(speedup, 3), page_reads=io.page_reads,
-                random_reads=io.random_reads,
+                speedup_vs_1=round(qps / legacy_qps[worker_counts[0]], 3),
+                page_reads=io.page_reads, random_reads=io.random_reads,
                 sequential_reads=io.sequential_reads))
-        # Pipeline sweep: merged groups + shared pool + batched page runs.
         cache = DEFAULT_BATCH_CACHE_PAGES
         pipeline = []
         for n_workers, wall, qps, io in sweep(index, name, cache, True):
-            vs_legacy = qps / qps_by_workers[n_workers]
-            lines.append(
-                f"{name + '+pipe':>12} {n_workers:>8} {wall:>8.2f} "
-                f"{qps:>8.1f} {vs_legacy:>7.2f}x "
-                f"{io.page_reads:>9} {io.random_reads:>8} "
-                f"{io.sequential_reads:>9}")
             pipeline.append(PipelinePoint(
                 workers=n_workers, wall_s=round(wall, 4), qps=round(qps, 2),
-                speedup_vs_legacy=round(vs_legacy, 3),
+                speedup_vs_legacy=round(qps / legacy_qps[n_workers], 3),
                 page_reads=io.page_reads, random_reads=io.random_reads,
                 sequential_reads=io.sequential_reads))
         methods.append(MethodSweep(
@@ -497,14 +448,6 @@ def throughput(full: bool = False, queries: int | None = None,
                 perpage_oracle_page_reads=pipeline[0].page_reads,
                 points=pipeline)))
         del index
-    lines += [
-        "",
-        "(answers, per-query I/O and total page counts verified "
-        "identical to one worker at every worker count; '+pipe' rows "
-        "are the merged+cached+batched pipeline, verified "
-        "byte-identical to a one-worker reference run, speedup "
-        "column relative to the legacy row at the same worker count)",
-    ]
     return Throughput(
         field=FieldInfo(type(field).__name__, size, field.num_cells),
         workload=QueryWorkload(len(workload), per_q, QINTERVALS_FIG8, seed,
@@ -513,11 +456,11 @@ def throughput(full: bool = False, queries: int | None = None,
                                        device.sequential_read_ms,
                                        device.scale),
         smoke=smoke, workers=list(worker_counts), methods=methods,
-    ).finish(lines)
+    ).finish(failures)
 
 
 def micro(full: bool = False, seed: int = 0, smoke: bool = False,
-          **_ignored) -> str:
+          **_ignored) -> Micro:
     """Criterion-style microbenchmarks of the query hot path + ingestion.
 
     Times the five kernels the vectorized executor is built from —
@@ -530,10 +473,11 @@ def micro(full: bool = False, seed: int = 0, smoke: bool = False,
 
     ``smoke=True`` shrinks the ingest fields and measurement budget,
     writes no JSON, and instead *gates* against the committed
-    ``BENCH_micro.json``: any kernel whose best ns/op exceeds that
-    file's ``gate.max_ratio`` times its pinned value fails the run —
-    the CI regression gate.  Kernel input sizes are identical in both
-    modes, so ns/op is comparable across them.
+    ``BENCH_micro.json``: its report adds each kernel's ratio to its
+    pin, and any kernel whose best ns/op exceeds that file's
+    ``gate.max_ratio`` times its pinned value fails the run — the CI
+    regression gate.  Kernel input sizes are identical in both modes,
+    so ns/op is comparable across them.
     """
     from ..core import CostBasedGrouping, group_cells
     from ..curves import HilbertCurve2D
@@ -668,48 +612,17 @@ def micro(full: bool = False, seed: int = 0, smoke: bool = False,
         speedup_bulk_vs_incremental=round(
             bulk_cps / inc_cps, 1))
 
-    lines = [
-        "== micro: query hot path + ingestion kernels ==",
-        f"seed={seed}, min measurement time {min_time}s/kernel",
-        "",
-        f"{'kernel':>16} {'ops/round':>10} {'rounds':>7} "
-        f"{'best ns/op':>11} {'median ns/op':>13}",
-    ]
-    for name, stats in results.items():
-        lines.append(
-            f"{name:>16} {stats.ops_per_round:>10} "
-            f"{stats.rounds:>7} {stats.best_ns_per_op:>11.1f} "
-            f"{stats.median_ns_per_op:>13.1f}")
-    lines += [
-        "",
-        f"bulk load   : {bulk_cells:,} cells in {bulk_s:.3f}s = "
-        f"{bulk_cps:,.0f} cells/s (I-Hilbert)",
-        f"incremental : {inc_field.num_cells:,} cells in {inc_s:.3f}s = "
-        f"{inc_cps:,.0f} cells/s (I-All per-insert; upper bound)",
-        f"speedup     : {ingest.speedup_bulk_vs_incremental:,.1f}x "
-        f"bulk vs per-insert",
-    ]
-
     baseline = Path("BENCH_micro.json")
     pinned = (load(json.loads(baseline.read_text()))
               if smoke and baseline.is_file() else None)
-    if smoke and pinned is None:
-        lines.append(f"(no {baseline} baseline; gate skipped)")
-    record = Micro(seed=seed, smoke=smoke, gate=MicroGate(),
-                   kernels=results, ingest=ingest, pinned=pinned)
-    for name, ratio in record.slowdowns().items():
-        limit = pinned.gate.max_ratio
-        lines.append(
-            f"gate {name}: {ratio:.2f}x of pinned "
-            f"{pinned.kernels[name].best_ns_per_op:.1f} ns/op "
-            f"(limit {limit}x) — {'FAIL' if ratio > limit else 'ok'}")
-    return record.finish(lines)
+    return Micro(seed=seed, smoke=smoke, gate=MicroGate(), kernels=results,
+                 ingest=ingest, pinned=pinned).finish([])
 
 
 def update_stream(full: bool = False, queries: int | None = None,
                   seed: int = 0, estimate: str = "area",
                   updates: int | None = None, smoke: bool = False,
-                  **_ignored) -> str:
+                  **_ignored) -> Update:
     """Query cost vs. update fraction, compaction recovery, and WAL
     crash recovery on the Fig. 8a terrain.
 
@@ -775,20 +688,6 @@ def update_stream(full: bool = False, queries: int | None = None,
 
     baseline = {name: cold_pages(ix) for name, ix in indexes.items()}
 
-    lines = [
-        f"== update: live vertex updates on {size}x{size} terrain DEM ==",
-        f"queries: {len(workload)} ({per_q} per Qinterval setting "
-        f"{QINTERVALS_FIG8}), seed={seed}, estimate={estimate}",
-        f"updates: {n_updates} random vertices, values uniform over "
-        f"[{lo0:.0f}, {hi0:.0f}] (locality-destroying), seed={seed + 1}",
-        "",
-        f"{'updates':>8} {'frac':>6} "
-        + " ".join(f"{name:>12}" for name in factories)
-        + f" {'IH drift':>9} {'IH maint r/w':>13}",
-        f"{'0':>8} {'0%':>6} "
-        + " ".join(f"{baseline[name]:>12}" for name in factories)
-        + f" {'—':>9} {'—':>13}",
-    ]
     steps = []
     applied = 0
     for frac in fractions:
@@ -801,12 +700,6 @@ def update_stream(full: bool = False, queries: int | None = None,
         pages = {name: cold_pages(ix) for name, ix in indexes.items()}
         ih = indexes["I-Hilbert"]
         st = ih.staleness()
-        lines.append(
-            f"{applied:>8} {frac:>6.0%} "
-            + " ".join(f"{pages[name]:>12}" for name in factories)
-            + f" {st['max_drift']:>+8.1%} "
-            f"{ih.maint_stats.page_reads:>6}/"
-            f"{ih.maint_stats.page_writes:<6}")
         steps.append(UpdateStep(
             updates_applied=applied, fraction=frac, page_reads=pages,
             ratio_vs_baseline={
@@ -821,18 +714,14 @@ def update_stream(full: bool = False, queries: int | None = None,
     # Gate 1: every method must now answer exactly like a fresh build
     # over the updated field.
     final_field = indexes["I-Hilbert"].field
-    for index in indexes.values():
-        assert np.array_equal(index.field.heights, final_field.heights)
+    failures = [f"{name}: its field's heights differ from I-Hilbert's"
+                for name, index in indexes.items()
+                if not np.array_equal(index.field.heights,
+                                      final_field.heights)]
     equivalent = all(
         same_answers(indexes[name],
                      factory(DEMField(final_field.heights.copy())), workload)
         for name, factory in factories.items())
-    lines += [
-        "",
-        "equivalence vs from-scratch rebuild after all updates: "
-        + ("PASS (answers identical for all methods)" if equivalent
-           else "FAIL"),
-    ]
 
     # Gate 2: compaction must bring I-Hilbert back within 10% of a
     # fresh-built index.
@@ -844,16 +733,6 @@ def update_stream(full: bool = False, queries: int | None = None,
     fresh_pages = cold_pages(fresh_ih)
     recovery_ratio = compacted_pages / max(fresh_pages, 1)
     del fresh_ih
-    lines += [
-        f"compaction: {report['reclustered_cells']} cells re-clustered "
-        f"in {report['stale_runs']} run(s), "
-        f"{report['subfields_before']} -> {report['subfields_after']} "
-        f"subfields",
-        f"I-Hilbert page reads: degraded {degraded_pages}, "
-        f"compacted {compacted_pages}, fresh build {fresh_pages} "
-        f"(recovery ratio {recovery_ratio:.3f}, gate <= "
-        f"{COMPACT_RECOVERY_LIMIT:.2f})",
-    ]
 
     # Gate 3: an update acknowledged by the WAL but crashed before any
     # page write must survive reload.
@@ -877,10 +756,6 @@ def update_stream(full: bool = False, queries: int | None = None,
         wal_recovered = same_answers(
             recovered, twin, [ValueQuery(lo0 + span, lo0 + 2 * span + 1.0)
                               for span in spans])
-    lines.append(
-        "WAL crash recovery (crash after append, before page write): "
-        + ("PASS (reloaded index matches uncrashed twin)"
-           if wal_recovered else "FAIL"))
 
     compaction = Compaction(
         degraded_page_reads=degraded_pages,
@@ -898,12 +773,12 @@ def update_stream(full: bool = False, queries: int | None = None,
                              "uniform over initial value range"),
         smoke=smoke, baseline_page_reads=baseline, steps=steps,
         final=UpdateFinal(equivalent, compaction, wal_recovered),
-    ).finish(lines)
+    ).finish(failures)
 
 
 def serve_bench(full: bool = False, queries: int | None = None,
                 seed: int = 0, estimate: str = "area",
-                smoke: bool = False, **_ignored) -> str:
+                smoke: bool = False, **_ignored) -> Serve:
     """Closed-loop multi-tenant load against the field query service.
 
     Boots a :class:`~repro.serve.server.FieldServer` in-process on an
@@ -940,12 +815,10 @@ def serve_bench(full: bool = False, queries: int | None = None,
 
     field = roseburg_like(cells_per_side=size)
     facade = EngineFacade(default_workers=engine_workers)
-    t0 = time.perf_counter()
     # A warm shared pool: the point here is the cross-tenant buffer
     # pool and its per-tenant hit/miss/byte and residency attribution.
     facade.open_field("terrain",
                       IHilbertIndex(field, cache_pages=WARM_CACHE_PAGES))
-    build_seconds = time.perf_counter() - t0
 
     # Per-client workloads: each client replays its own Fig. 8a mix,
     # seeded per (tenant, client) so connections do not run in lockstep.
@@ -974,8 +847,7 @@ def serve_bench(full: bool = False, queries: int | None = None,
     harness = ServerThread(server)
     host, port = harness.start()
 
-    n_clients = len(workloads)
-    barrier = threading.Barrier(n_clients)
+    barrier = threading.Barrier(len(workloads))
     records: dict[tuple[str, int], dict] = {}
 
     def run_client(tenant: str, ci: int) -> None:
@@ -1054,19 +926,6 @@ def serve_bench(full: bool = False, queries: int | None = None,
         stats = probe.stats("terrain")
     harness.stop()
 
-    lines = [
-        f"== serve: multi-tenant load on the field query service "
-        f"({size}x{size} terrain, shared buffer pool) ==",
-        f"tenants: {len(tenants)} x {clients_per_tenant} client(s), "
-        f"{per_client} queries/client ({per_q} per Qinterval setting "
-        f"{QINTERVALS_FIG8}), seed={seed}, estimate={estimate}",
-        f"server: engine workers={engine_workers}, executor "
-        f"workers={executor_workers}, build {build_seconds:.2f}s",
-        "",
-        f"{'tenant':>8} {'clients':>8} {'queries':>8} {'errors':>7} "
-        f"{'q/s':>8} {'p50 ms':>8} {'p95 ms':>8} {'p99 ms':>8} "
-        f"{'max ms':>8}",
-    ]
     tenant_runs = []
     total_queries = total_mismatches = 0
     max_wall = 0.0
@@ -1083,10 +942,6 @@ def serve_bench(full: bool = False, queries: int | None = None,
         qps = len(latencies) / wall if wall > 0 else 0.0
         lat = latencies if len(latencies) else np.zeros(1)
         p50, p95, p99 = np.percentile(lat, (50, 95, 99))
-        lines.append(
-            f"{tenant:>8} {clients_per_tenant:>8} {len(latencies):>8} "
-            f"{errors:>7} {qps:>8.1f} {p50:>8.2f} {p95:>8.2f} "
-            f"{p99:>8.2f} {lat.max():>8.2f}")
         tenant_runs.append(TenantRun(
             tenant=tenant, clients=clients_per_tenant,
             queries=int(len(latencies)), errors=errors,
@@ -1099,26 +954,6 @@ def serve_bench(full: bool = False, queries: int | None = None,
         total_mismatches += mismatches
         max_wall = max(max_wall, wall)
     overall_qps = total_queries / max_wall if max_wall > 0 else 0.0
-    lines += [
-        "",
-        f"total: {total_queries} queries in {max_wall:.2f}s "
-        f"({overall_qps:.1f} q/s across {n_clients} connections)",
-        f"equivalence: {total_queries - total_mismatches}/"
-        f"{total_queries} responses byte-equivalent to direct engine "
-        f"calls",
-        f"shared pool: {stats['pool']['hits']} hits / "
-        f"{stats['pool']['misses']} misses, per-tenant attribution "
-        + ", ".join(
-            f"{t}={sum(stats['tenants'].get(t, {}).get(k, 0) for k in ('hits', 'misses'))} "
-            f"accesses ({stats['tenants'].get(t, {}).get('bytes_read', 0)} B)"
-            for t in tenants),
-        f"observability: {server.sampled_total} sampled trace(s) "
-        f"({trace_spans} spans -> {results_dir}/serve_trace.json), "
-        f"{qlog.entries} qlog entrie(s) -> {qlog_path}, "
-        f"admission wait p50/p95/p99 = "
-        f"{admission_wait.p50}/{admission_wait.p95}/"
-        f"{admission_wait.p99} ms",
-    ]
     return Serve(
         field=FieldInfo(type(field).__name__, size, field.num_cells),
         workload=QueryWorkload(per_client, per_q, QINTERVALS_FIG8, seed,
@@ -1138,12 +973,12 @@ def serve_bench(full: bool = False, queries: int | None = None,
             sampled_spans=server.sampled_total,
             trace_span_events=trace_spans, qlog_entries=qlog.entries,
             admission_wait_ms=admission_wait),
-    ).finish(lines)
+    ).finish([])
 
 
 def shard_bench(full: bool = False, queries: int | None = None,
                 seed: int = 0, estimate: str = "area",
-                smoke: bool = False, **_ignored) -> str:
+                smoke: bool = False, **_ignored) -> Shard:
     """Scale-out sweep: Hilbert-range shards 1/2/4/8 on Fig. 8a.
 
     For each shard count the Fig. 8a workload runs against a
@@ -1184,19 +1019,6 @@ def shard_bench(full: bool = False, queries: int | None = None,
         base_ms += result.io.simulated_cost()
         baseline.clear_caches()
 
-    lines = [
-        f"== shard: Hilbert-range scale-out sweep "
-        f"({size}x{size} terrain, tiered remote storage) ==",
-        f"workload: {len(workload)} queries ({per_q} per Qinterval "
-        f"setting {QINTERVALS_FIG8}), seed={seed}, estimate={estimate}",
-        f"device model: random {RANDOM_READ_MS} ms / sequential "
-        f"{SEQUENTIAL_READ_MS} ms; coordinator wall = slowest shard",
-        f"unsharded I-Hilbert: {base_ms:.1f} device ms over the workload",
-        "",
-        f"{'shards':>6} {'built':>6} {'verified':>9} {'reads':>7} "
-        f"{'dev ms':>9} {'speedup':>8} {'fetches':>8} {'evicted':>8} "
-        f"{'hits':>8}",
-    ]
     sweep = []
     total_checked = total_mismatches = 0
     for n_shards in shard_counts:
@@ -1218,12 +1040,6 @@ def shard_bench(full: bool = False, queries: int | None = None,
         total_mismatches += mismatches
         remote = engine.remote_counters()["total"]
         speedup = base_ms / shard_ms if shard_ms > 0 else 0.0
-        lines.append(
-            f"{n_shards:>6} {engine.shard_map.num_shards:>6} "
-            f"{len(workload) - mismatches:>4}/{len(workload):<4} "
-            f"{reads:>7} {shard_ms:>9.1f} {speedup:>7.2f}x "
-            f"{int(remote['fetches']):>8} {int(remote['evictions']):>8} "
-            f"{int(remote['local_hits']):>8}")
         sweep.append(ShardPoint(
             shards_requested=n_shards,
             shards_built=engine.shard_map.num_shards,
@@ -1233,12 +1049,6 @@ def shard_bench(full: bool = False, queries: int | None = None,
             remote=RemoteTraffic(
                 **{key: int(remote[key]) for key in
                    ("fetches", "evictions", "local_hits", "puts")})))
-    lines += [
-        "",
-        f"equivalence: {total_checked - total_mismatches}/"
-        f"{total_checked} sharded answers identical to the unsharded "
-        f"engine",
-    ]
     return Shard(
         field=FieldInfo(type(field).__name__, size, field.num_cells),
         workload=QueryWorkload(len(workload), per_q, QINTERVALS_FIG8, seed,
@@ -1247,12 +1057,12 @@ def shard_bench(full: bool = False, queries: int | None = None,
         smoke=smoke, remote_cache_pages=remote_cache_pages,
         baseline_device_ms=round(base_ms, 3), sweep=sweep,
         equivalence=Equivalence(total_checked, total_mismatches),
-    ).finish(lines)
+    ).finish([])
 
 
 def aggregate_bench(full: bool = False, queries: int | None = None,
                     seed: int = 0, smoke: bool = False,
-                    **_ignored) -> str:
+                    **_ignored) -> Aggregate:
     """Accuracy-vs-speed frontier of the learned aggregate models.
 
     Runs the Fig. 8a query mix as COUNT/SUM/area aggregates against an
@@ -1291,19 +1101,6 @@ def aggregate_bench(full: bool = False, queries: int | None = None,
 
     configs = [("exact", "exact", None), ("hybrid-1pct", "hybrid", 0.01),
                ("hybrid-0.1pct", "hybrid", 0.001), ("model", "model", None)]
-    lines = [
-        f"== aggregate: learned-model frontier on Fig. 8a workload "
-        f"({size}x{size} terrain) ==",
-        f"queries: {len(workload)} ({per_q} per Qinterval setting "
-        f"{QINTERVALS_FIG8}), seed={seed}, kinds={list(kinds)}",
-        f"models: degree {models.degree}, {models.num_subfields} "
-        f"subfields, {models.nbytes:,} bytes, fitted in "
-        f"{fit_seconds:.3f}s",
-        "",
-        f"{'config':>14} {'wall s':>8} {'ops/s':>8} {'pages':>9} "
-        f"{'max err%':>9} {'mean err%':>9} {'exact sf':>9} "
-        f"{'model sf':>9}",
-    ]
     exact_values: dict[tuple[int, str], float] = {}
     frontier = []
     violations: list[str] = []
@@ -1349,10 +1146,6 @@ def aggregate_bench(full: bool = False, queries: int | None = None,
                         f"exceeds tolerance {tols[kind]:.6g}")
         wall = time.perf_counter() - t0
         mean_rel = sum_rel / ops if mode != "exact" else 0.0
-        lines.append(
-            f"{name:>14} {wall:>8.3f} {ops / wall:>8.1f} {pages:>9,} "
-            f"{max_rel * 100:>9.4f} {mean_rel * 100:>9.4f} "
-            f"{n_exact_sf:>9,} {n_model_sf:>9,}")
         frontier.append(AggregateConfig(
             name=name, mode=mode, tolerance_frac=frac,
             wall_seconds=round(wall, 4), ops=ops,
@@ -1375,15 +1168,6 @@ def aggregate_bench(full: bool = False, queries: int | None = None,
             eq_checked += 1
             if hybrid.value != exact.value or hybrid.bound != 0.0:
                 eq_mismatches += 1
-    lines += [
-        "",
-        f"equivalence: {eq_checked} tolerance=0 hybrid answers "
-        f"checked against exact — {eq_mismatches} mismatches",
-    ]
-    if violations:
-        print("\n".join(lines))
-        raise SystemExit(
-            "aggregate FAILED:\n  " + "\n  ".join(violations[:20]))
     return Aggregate(
         field=FieldInfo(type(field).__name__, size, field.num_cells),
         workload=AggregateWorkload(len(workload), per_q, QINTERVALS_FIG8,
@@ -1397,7 +1181,7 @@ def aggregate_bench(full: bool = False, queries: int | None = None,
         totals={k: totals[k] for k in kinds},
         configs=frontier, equivalence=Equivalence(eq_checked,
                                                   eq_mismatches),
-    ).finish(lines)
+    ).finish(violations)
 
 
 def _render(result) -> str:

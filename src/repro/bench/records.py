@@ -10,13 +10,17 @@ nested records for its parts.  The record is the artifact's schema:
 * ``problems()`` lists every violated condition of a run, each with the
   path of the part it concerns: the bounds declared on the fields, the
   artifact's consistency rules and the experiment's whole-run gates;
-* :meth:`Bench.finish` ends a run.  It exits 1 on any problem, and only
-  a full run without problems writes ``BENCH_<experiment>.json``.
+* ``render()`` is the run's text report: every leaf field with its
+  value, and every list or dict of records as a table;
+* :meth:`Bench.finish` ends a run.  It prints the report and exits 1 on
+  any problem or failure, and only a full run without either writes
+  ``BENCH_<experiment>.json``.
 
 Per-answer checks (answers equal to an oracle, aggregate errors within
-their bounds) stay in the experiments' run loops.  Conditions marked
-"full runs only" are acceptance bars that the smoke runs' tiny fields
-cannot meet.
+their bounds) run in the experiments' run loops, which hand their
+failure messages to :meth:`Bench.finish`; so every failed check ends a
+run there.  Conditions marked "full runs only" are acceptance bars that
+the smoke runs' tiny fields cannot meet.
 """
 
 from __future__ import annotations
@@ -84,8 +88,72 @@ def _method_pages(name: str, pages: dict[str, int]) -> Iterator[str]:
             yield f"{name}[{method}] must be > 0, got {reads}"
 
 
+def _is_table(value) -> bool:
+    """A non-empty list or dict of records, which renders as a table."""
+    items = list(value.values() if isinstance(value, dict) else
+                 value if isinstance(value, list) else ())
+    return bool(items) and all(isinstance(item, Record) for item in items)
+
+
+def _split(value, prefix: str = "") -> tuple[dict, dict]:
+    """The scalar leaves of a record, by dotted name, and its tables.
+
+    Nested records and non-empty dicts of scalars flatten into dotted
+    names (``field.cells``, ``page_reads.I-All``); a table stays whole.
+    """
+    leaves, tables = {}, {}
+    items = (value.items() if isinstance(value, dict) else
+             ((f.name, getattr(value, f.name))
+              for f in dataclasses.fields(value)))
+    for key, item in items:
+        name = f"{prefix}{key}"
+        if _is_table(item):
+            tables[name] = item
+        elif isinstance(item, Record) or (isinstance(item, dict) and item):
+            more_leaves, more_tables = _split(item, name + ".")
+            leaves.update(more_leaves)
+            tables.update(more_tables)
+        else:
+            leaves[name] = item
+    return leaves, tables
+
+
+def _table(rows, indent: str) -> list[str]:
+    """A list or dict of records as aligned columns of their leaves; an
+    element holding tables of its own is followed by them, indented."""
+    keyed = rows.items() if isinstance(rows, dict) else \
+        ((None, row) for row in rows)
+    split = []
+    for key, row in keyed:
+        leaves, tables = _split(row)
+        split.append((({} if key is None else {"name": key}) | leaves,
+                      tables))
+    columns = list(dict.fromkeys(name for leaves, _ in split
+                                 for name in leaves))
+    cells = [[str(leaves.get(name, "")) for name in columns]
+             for leaves, _ in split]
+    widths = [max(len(name), *(len(row[i]) for row in cells))
+              for i, name in enumerate(columns)]
+    lines = ["  ".join(name.rjust(w) for name, w in zip(columns, widths))]
+    for row, (_, tables) in zip(cells, split):
+        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
+        for name, table in tables.items():
+            lines += [f"  {name}:"] + _table(table, "    ")
+    return [indent + line for line in lines]
+
+
 class Record:
-    """Base of every record: collects its own and its parts' problems."""
+    """Base of every record: collects its own and its parts' problems,
+    and renders itself as text."""
+
+    def render(self) -> str:
+        """Every leaf field as ``name: value``, then every list or dict
+        of records as a table of its elements' leaf fields."""
+        leaves, tables = _split(self)
+        lines = [f"{name}: {value}" for name, value in leaves.items()]
+        for name, table in tables.items():
+            lines += ["", f"{name}:"] + _table(table, "  ")
+        return "\n".join(lines)
 
     def checks(self) -> Iterator[str]:
         """Messages of this record's own conditions beyond field bounds."""
@@ -120,26 +188,27 @@ class Bench(Record):
         if self.schema_version != SCHEMA_VERSION:
             yield f"schema_version {self.schema_version} != {SCHEMA_VERSION}"
 
-    def finish(self, lines: list[str]) -> str:
-        """End the run whose text report is ``lines``; return the report.
+    def finish(self, failures: list[str]) -> Bench:
+        """End the run: print :meth:`render`, then judge it.
 
-        With any :meth:`problems` it prints the report and raises
-        ``SystemExit`` listing them (exit status 1), so a failing run
-        writes nothing.  Otherwise a full run writes
-        ``BENCH_<experiment>.json`` into the working directory.
+        ``failures`` are the run's per-answer check messages.  With any
+        failure or :meth:`problems` it raises ``SystemExit`` listing
+        them (exit status 1), so a failing run writes nothing.
+        Otherwise a full run writes ``BENCH_<experiment>.json`` into the
+        working directory.
         """
-        problems = self.problems()
-        if problems:
-            print("\n".join(lines))
+        print(self.render())
+        failed = failures + self.problems()
+        if failed:
             raise SystemExit(f"{self.experiment} FAILED:\n  "
-                             + "\n  ".join(problems))
+                             + "\n  ".join(failed))
         if not self.smoke:
             path = f"BENCH_{self.experiment}.json"
             with open(path, "w") as fh:
                 json.dump(dataclasses.asdict(self), fh, indent=1)
                 fh.write("\n")
-            lines.append(f"(machine-readable results written to {path})")
-        return "\n".join(lines)
+            print(f"(written to {path})")
+        return self
 
 
 # -- parts shared by several artifacts ----------------------------------------
@@ -692,6 +761,19 @@ class Micro(Bench):
         pins = self._pinned.kernels if self._pinned is not None else {}
         return {name: kernel.best_ns_per_op / pins[name].best_ns_per_op
                 for name, kernel in self.kernels.items() if name in pins}
+
+    def render(self) -> str:
+        """The generic rendering; a smoke run adds each kernel's ratio
+        to its pin."""
+        lines = [super().render()]
+        if self.smoke and self._pinned is None:
+            lines.append("gate: no pinned record, skipped")
+        for name, ratio in self.slowdowns().items():
+            lines.append(
+                f"gate {name}: {ratio:.2f}x of pinned "
+                f"{self._pinned.kernels[name].best_ns_per_op} ns/op "
+                f"(limit {self._pinned.gate.max_ratio}x)")
+        return "\n".join(lines)
 
     def checks(self) -> Iterator[str]:
         yield from super().checks()

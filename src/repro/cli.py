@@ -446,13 +446,14 @@ def cmd_rebalance(args) -> int:
     """Split/merge shards of a saved sharded engine and re-save it."""
     from .shard import ShardedEngine
 
+    if args.field is None and (args.max_cells is not None
+                               or args.drift_threshold is not None):
+        raise SystemExit("error: splits (--max-cells, --drift-threshold) "
+                         "need the field file (--field) to recover the "
+                         "Hilbert keys")
     index_dir = Path(args.index_dir)
     field = _load_field(Path(args.field)) if args.field else None
     engine = ShardedEngine.load(index_dir, field=field)
-    if field is None and args.max_cells is not None:
-        print("note: size splits need the field file (--field) to "
-              "recover Hilbert keys; only drift splits and merges "
-              "will run", file=sys.stderr)
     summary = engine.rebalance(max_cells=args.max_cells,
                                min_cells=args.min_cells,
                                drift_threshold=args.drift_threshold)
@@ -757,7 +758,7 @@ def main(argv: list[str] | None = None) -> int:
     rebalance.add_argument("index_dir")
     rebalance.add_argument("--field", default=None,
                            help="original field file; required for "
-                                "size splits (recovers Hilbert keys)")
+                                "splits (recovers Hilbert keys)")
     rebalance.add_argument("--max-cells", type=int, default=None,
                            help="split any shard holding more cells "
                                 "than this")

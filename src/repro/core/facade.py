@@ -43,7 +43,7 @@ from ..storage import IOStats, PoolCounters
 from .base import EstimateMode, FaultMode, ValueIndex
 from .batch import BatchQueryEngine, BatchResult, DEFAULT_BATCH_CACHE_PAGES
 from .ihilbert import IHilbertIndex
-from .persist import load_index, save_index
+from .persist import PersistError, load_index, save_index
 from .query import QueryResult, ValueQuery
 
 
@@ -321,14 +321,17 @@ class EngineFacade:
         return int(len(dirty))
 
     def snapshot(self, name: str, directory) -> str:
-        """Persist an open field's index crash-safely; returns the path."""
+        """Persist an open field's index crash-safely; returns the path.
+
+        Raises :class:`FacadeError` for an index that has no persistent
+        form (only grouped indexes save).
+        """
         handle = self.handle(name)
-        if getattr(handle.index, "tree", None) is None:
-            raise FacadeError(
-                f"field {name!r} ({handle.index.name}) has no persistent "
-                f"form; only grouped indexes snapshot")
         with handle.lock:
-            save_index(handle.index, directory)
+            try:
+                save_index(handle.index, directory)
+            except PersistError as exc:
+                raise FacadeError(f"field {name!r}: {exc}") from None
         return str(directory)
 
     # -- introspection ------------------------------------------------------

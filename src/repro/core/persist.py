@@ -132,10 +132,16 @@ def save_index(index, directory: str | Path,
 
     Crash-safe: the previous save (if any) stays loadable until the new
     manifest lands atomically; see the module docstring for the
-    protocol.  ``crash_point`` (tests only) aborts with
+    protocol.  Any other index raises :class:`PersistError` before a
+    file is written.  ``crash_point`` (tests only) aborts with
     :class:`~repro.storage.faults.SimulatedCrash` at a named step — one
     of :data:`SAVE_INDEX_CRASH_POINTS`.
     """
+    from .grouped import GroupedIntervalIndex
+
+    if not isinstance(index, GroupedIntervalIndex):
+        raise PersistError(f"cannot persist {index.name} indexes: only "
+                           f"grouped (subfield) indexes save")
     if crash_point is not None and crash_point not in SAVE_INDEX_CRASH_POINTS:
         raise ValueError(
             f"unknown crash point {crash_point!r}; expected one of "

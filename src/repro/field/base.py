@@ -155,14 +155,3 @@ class Field(abc.ABC):
         override divides by the cell size.
         """
         return (x, y)
-
-    # -- shared helpers ---------------------------------------------------
-
-    def intervals_array(self) -> np.ndarray:
-        """``(num_cells, 2)`` array of per-cell ``[min, max]``.
-
-        Derived from the stored records so every access method sees the
-        exact same (precision-consistent) intervals.
-        """
-        records = self.cell_records()
-        return np.column_stack([records["vmin"], records["vmax"]])

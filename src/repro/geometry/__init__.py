@@ -5,7 +5,6 @@ from .polygon import (
     clip_halfplane,
     clip_to_value_band,
     polygon_area,
-    polygon_centroid,
 )
 from .rect import Rect
 
@@ -15,5 +14,4 @@ __all__ = [
     "clip_halfplane",
     "clip_to_value_band",
     "polygon_area",
-    "polygon_centroid",
 ]

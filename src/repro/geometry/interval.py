@@ -23,13 +23,6 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
 
-    @classmethod
-    def of(cls, *values: float) -> "Interval":
-        """Smallest interval covering every given value."""
-        if not values:
-            raise ValueError("Interval.of() needs at least one value")
-        return cls(min(values), max(values))
-
     @property
     def length(self) -> float:
         """Geometric extent ``hi − lo``."""
@@ -46,26 +39,6 @@ class Interval:
     def intersects(self, other: "Interval") -> bool:
         """True when the closed intervals share at least one point."""
         return self.lo <= other.hi and other.lo <= self.hi
-
-    def intersection(self, other: "Interval") -> "Interval | None":
-        """Common sub-interval, or None when disjoint."""
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            return None
-        return Interval(lo, hi)
-
-    def union(self, other: "Interval") -> "Interval":
-        """Smallest interval covering both operands."""
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    def expanded(self, value: float) -> "Interval":
-        """Smallest interval covering self and ``value``."""
-        if value < self.lo:
-            return Interval(value, self.hi)
-        if value > self.hi:
-            return Interval(self.lo, value)
-        return self
 
     def as_tuple(self) -> tuple[float, float]:
         """``(lo, hi)`` pair, for serialization."""

@@ -13,9 +13,6 @@ from collections.abc import Callable, Sequence
 
 Point2 = tuple[float, float]
 
-#: Tolerance for degenerate polygon areas.
-AREA_EPS = 1e-12
-
 
 def polygon_area(points: Sequence[Point2]) -> float:
     """Unsigned area via the shoelace formula (0 for < 3 vertices)."""
@@ -28,28 +25,6 @@ def polygon_area(points: Sequence[Point2]) -> float:
         x1, y1 = points[(i + 1) % n]
         twice += x0 * y1 - x1 * y0
     return abs(twice) / 2.0
-
-
-def polygon_centroid(points: Sequence[Point2]) -> Point2:
-    """Area-weighted centroid (vertex mean for degenerate polygons)."""
-    n = len(points)
-    if n == 0:
-        raise ValueError("centroid of empty polygon")
-    twice = 0.0
-    cx = 0.0
-    cy = 0.0
-    for i in range(n):
-        x0, y0 = points[i]
-        x1, y1 = points[(i + 1) % n]
-        cross = x0 * y1 - x1 * y0
-        twice += cross
-        cx += (x0 + x1) * cross
-        cy += (y0 + y1) * cross
-    if abs(twice) < AREA_EPS:
-        xs = sum(p[0] for p in points) / n
-        ys = sum(p[1] for p in points) / n
-        return (xs, ys)
-    return (cx / (3.0 * twice), cy / (3.0 * twice))
 
 
 def clip_halfplane(points: Sequence[Point2],

@@ -80,13 +80,6 @@ class Rect:
                 return False
         return True
 
-    def contains_point(self, coords: tuple[float, ...]) -> bool:
-        """True when the point lies inside the closed box."""
-        for lo, hi, c in zip(self.lows, self.highs, coords):
-            if c < lo or c > hi:
-                return False
-        return True
-
     def intersection_area(self, other: "Rect") -> float:
         """Hyper-volume of the overlap region (0 when disjoint)."""
         product = 1.0

@@ -298,13 +298,6 @@ class RStarTree:
         self.pool.clear()
         self._dirty = False
 
-    def root_mbr(self) -> Rect | None:
-        """Bounding box of the whole tree, or None when empty."""
-        root = self._nodes[self._root_id]
-        if not root.entries:
-            return None
-        return root.mbr()
-
     def check_invariants(self) -> None:
         """Validate structural invariants; raises AssertionError on breach.
 

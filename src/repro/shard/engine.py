@@ -193,6 +193,7 @@ class ShardedEngine(ValueIndex):
                          retry_policy=retry_policy)
         self._init_coordinator(method, cache_pages, remote_store,
                                remote_cache_pages)
+        self._grouping = default_grouping(field.value_range.length)
 
         dim = field.cell_centroids().shape[1]
         curve_obj = make_curve(curve, default_curve_order(field, dim), dim)
@@ -219,7 +220,7 @@ class ShardedEngine(ValueIndex):
                 for s, e in global_groups]
 
         for spec in self.shard_map.shards:
-            view = shard_field_view(field, spec,
+            view = shard_field_view(self.field_type, field, spec,
                                     order[spec.start:spec.stop])
             groups = hulls = None
             if method == "I-Hilbert":
@@ -261,9 +262,6 @@ class ShardedEngine(ValueIndex):
         self._map_dir: Path | None = None
         self._wal_dir: Path | None = None
         self._injector = None
-        self._grouping = default_grouping(
-            self.field.value_range.length if self.field is not None
-            else 1.0)
         #: Per-shard IOStats deltas of the most recent gather — the
         #: bench derives the simulated scale-out speedup from these.
         self.last_shard_io: list[IOStats] = []
@@ -632,12 +630,14 @@ class ShardedEngine(ValueIndex):
             spec.shard_id, position, int(self._sorted_keys[position]))
         live = self._live_records(rt)
         left_rt = self._make_runtime(
-            shard_field_view(self.field, new_map.shards[k],
+            shard_field_view(self.field_type, self.field,
+                             new_map.shards[k],
                              self._order[spec.start:position],
                              records=live[:cut]),
             new_map.shards[k])
         right_rt = self._make_runtime(
-            shard_field_view(self.field, new_map.shards[k + 1],
+            shard_field_view(self.field_type, self.field,
+                             new_map.shards[k + 1],
                              self._order[position:spec.stop],
                              records=live[cut:]),
             new_map.shards[k + 1])
@@ -653,8 +653,10 @@ class ShardedEngine(ValueIndex):
         spec = new_map.shards[k]
         live = np.concatenate([self._live_records(left),
                                self._live_records(right)])
+        # A merge needs only the live records, so an engine reloaded
+        # without its field merges too.
         merged_rt = self._make_runtime(
-            shard_field_view(self.field, spec,
+            shard_field_view(self.field_type, self.field, spec,
                              self._order[spec.start:spec.stop],
                              records=live),
             spec)
@@ -741,6 +743,9 @@ class ShardedEngine(ValueIndex):
         engine._init_state(field, first.field_type,
                            page_size=first.page_size)
         engine._init_coordinator(extra["method"], cache_pages)
+        # Merges regroup with the build's policy, saved per shard (only
+        # grouped shards save).
+        engine._grouping = first.grouping
         engine.shards = shards
         engine.shard_map = smap
         engine._next_uid = max(extra["uids"]) + 1

@@ -8,7 +8,7 @@ files in shard order reproduces the unsharded clustered file byte for
 byte (the cuts are page-aligned), and a shard-local storage position
 ``j`` always means global position ``spec.start + j``.
 
-The view is a dynamically created subclass of the base field's type, so
+The view is a dynamically created subclass of the engine's field type, so
 ``isinstance`` checks, record dtypes, and the classmethod geometry
 helpers (``estimate_area``, ``record_mbrs``, …) all resolve to the real
 field type — estimation over a shard's candidates is literally the same
@@ -47,12 +47,15 @@ class ShardFieldView(Field):
     keys, the §3.1.2 cost-model parameters — is identical across
     shards and to the unsharded build.
 
+    ``base`` is None in an engine reloaded without its field; the view
+    then carries only ``records`` (what a merge rebuilds a shard from).
+
     Never instantiate this class directly; use :func:`shard_field_view`,
-    which subclasses the base field's type so estimation helpers
-    resolve correctly.
+    which subclasses the field type so estimation helpers resolve
+    correctly.
     """
 
-    def __init__(self, base: Field, spec: ShardSpec,
+    def __init__(self, base: Field | None, spec: ShardSpec,
                  global_ids: np.ndarray,
                  records: np.ndarray | None = None) -> None:
         # Deliberately no super().__init__: the view holds no geometry
@@ -77,11 +80,6 @@ class ShardFieldView(Field):
     @property
     def num_cells(self) -> int:
         return len(self.global_ids)
-
-    @property
-    def record_dtype(self) -> np.dtype:
-        """The base field's record dtype (shards never change layout)."""
-        return self.base.record_dtype
 
     def cell_records(self) -> np.ndarray:
         """Shard records in global Hilbert order (``cell_id`` stays
@@ -124,15 +122,18 @@ class ShardFieldView(Field):
             "sharded engine")
 
 
-def shard_field_view(base: Field, spec: ShardSpec,
-                     global_ids: np.ndarray,
+def shard_field_view(field_type: type, base: Field | None,
+                     spec: ShardSpec, global_ids: np.ndarray,
                      records: np.ndarray | None = None) -> Field:
     """Build the shard view of ``base`` for one :class:`ShardSpec`.
 
+    ``field_type`` is the engine's field type, which the view
+    subclasses; ``base`` is a field of that type, or None for an engine
+    reloaded without its field (``records`` is then required).
     ``global_ids`` lists the owned global cell ids in global Hilbert
     order (``order[spec.start:spec.stop]``).  ``records`` optionally
     supplies the current cell records (e.g. read back from a live
     shard store during rebalancing) instead of the base field's
     pristine ones.
     """
-    return _view_type(type(base))(base, spec, global_ids, records)
+    return _view_type(field_type)(base, spec, global_ids, records)

@@ -283,11 +283,6 @@ class BufferPool:
                                            bytes_read=row[2])
                     for tenant, row in sorted(self._tenant_rows.items())}
 
-    def reset_tenant_counters(self) -> None:
-        """Zero the per-tenant traffic counters (residency is kept)."""
-        with self._lock:
-            self._tenant_rows.clear()
-
     def tenant_residency(self) -> dict:
         """Who occupies the resident frames, without double counting.
 

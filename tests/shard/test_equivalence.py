@@ -326,6 +326,16 @@ def test_rebalance_and_reload_preserve_answers(field, workload, tmp_path):
     loaded = ShardedEngine.load(tmp_path / "saved", field=field)
     assert [(loaded.query(q).candidate_count, loaded.query(q).area)
             for q in workload] == ref
+    # Merges need only the live records: a reload without the field
+    # still merges, with the build's grouping.
+    fieldless = ShardedEngine.load(tmp_path / "saved")
+    assert fieldless.rebalance(
+        min_cells=len(field.cell_records()))["merges"] >= 1
+    assert len(fieldless.shards) == 1
+    assert [(fieldless.query(q).candidate_count, fieldless.query(q).area)
+            for q in workload] == ref
+    assert vars(fieldless.shards[0].index.grouping) == \
+        vars(engine._grouping)
 
 
 def test_reloaded_engine_starts_with_clean_pools(tmp_path):

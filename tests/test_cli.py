@@ -177,3 +177,23 @@ def test_bad_request_is_a_one_line_error(heights_file, tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         main([argv[0], str(index_dir), *argv[1:]])
     assert str(exc.value.code).startswith("error: ")
+
+
+@pytest.mark.parametrize("split", [["--max-cells", "100"],
+                                   ["--drift-threshold", "0.1"]])
+def test_rebalance_splits_without_the_field_are_a_one_line_error(
+        heights_file, tmp_path, capsys, split):
+    shards = tmp_path / "sh"
+    assert main(["shard", str(heights_file), str(shards),
+                 "--shards", "2"]) == 0
+    before = {p: p.read_bytes() for p in shards.rglob("*") if p.is_file()}
+    with pytest.raises(SystemExit) as exc:
+        main(["rebalance", str(shards), *split])
+    assert str(exc.value.code).startswith("error: ")
+    assert "--field" in str(exc.value.code)
+    assert {p: p.read_bytes() for p in shards.rglob("*")
+            if p.is_file()} == before
+    # Merges need no keys: --min-cells alone still runs.
+    capsys.readouterr()
+    assert main(["rebalance", str(shards), "--min-cells", "100000"]) == 0
+    assert "1 merge(s), 2 -> 1 shards" in capsys.readouterr().out

@@ -7,7 +7,10 @@ from repro.core import (
     EngineFacade,
     FacadeError,
     FieldExistsError,
+    IAllIndex,
     IHilbertIndex,
+    ITreeIndex,
+    LinearScanIndex,
     UnknownFieldError,
     ValueQuery,
     load_index,
@@ -133,6 +136,16 @@ def test_snapshot_roundtrip(tmp_path, facade):
     path = facade.snapshot("terrain", tmp_path / "snap")
     index = load_index(path)
     assert len(index.store) == len(facade.handle("terrain").index.store)
+
+
+@pytest.mark.parametrize("method", [IAllIndex, LinearScanIndex, ITreeIndex])
+def test_snapshot_of_an_unsaveable_index_writes_nothing(
+        tmp_path, smooth_dem, method):
+    facade = EngineFacade()
+    facade.open_field("terrain", method(smooth_dem))
+    with pytest.raises(FacadeError, match=method.name):
+        facade.snapshot("terrain", tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_tenant_attribution_through_query(facade, smooth_dem):

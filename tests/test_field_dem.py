@@ -137,10 +137,3 @@ def test_record_mbrs(paper_dem):
     assert mbrs.shape == (9, 4)
     assert tuple(mbrs[0]) == (0.0, 0.0, 1.0, 1.0)
     assert tuple(mbrs[8]) == (2.0, 2.0, 3.0, 3.0)
-
-
-def test_intervals_array_matches_records(paper_dem):
-    arr = paper_dem.intervals_array()
-    records = paper_dem.cell_records()
-    assert np.array_equal(arr[:, 0], records["vmin"])
-    assert np.array_equal(arr[:, 1], records["vmax"])

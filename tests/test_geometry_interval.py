@@ -1,16 +1,8 @@
-"""Unit and property tests for the Interval primitive."""
+"""Unit tests for the Interval primitive."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.geometry import Interval
-
-finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
-
-
-def ivl(a, b):
-    return Interval(min(a, b), max(a, b))
 
 
 def test_construction_and_accessors():
@@ -23,16 +15,6 @@ def test_construction_and_accessors():
 def test_inverted_interval_rejected():
     with pytest.raises(ValueError):
         Interval(5.0, 2.0)
-
-
-def test_of_covers_all_values():
-    assert Interval.of(3.0, -1.0, 2.0) == Interval(-1.0, 3.0)
-    assert Interval.of(7.0) == Interval(7.0, 7.0)
-
-
-def test_of_empty_rejected():
-    with pytest.raises(ValueError):
-        Interval.of()
 
 
 def test_size_uses_paper_convention():
@@ -55,45 +37,3 @@ def test_contains_closed_bounds():
 def test_intersects_touching_counts():
     assert Interval(0.0, 1.0).intersects(Interval(1.0, 2.0))
     assert not Interval(0.0, 1.0).intersects(Interval(1.1, 2.0))
-
-
-def test_intersection_and_disjoint():
-    assert Interval(0.0, 5.0).intersection(Interval(3.0, 8.0)) == \
-        Interval(3.0, 5.0)
-    assert Interval(0.0, 1.0).intersection(Interval(2.0, 3.0)) is None
-
-
-def test_union():
-    assert Interval(0.0, 1.0).union(Interval(5.0, 6.0)) == Interval(0.0, 6.0)
-
-
-def test_expanded():
-    i = Interval(1.0, 2.0)
-    assert i.expanded(0.0) == Interval(0.0, 2.0)
-    assert i.expanded(3.0) == Interval(1.0, 3.0)
-    assert i.expanded(1.5) is i
-
-
-@given(finite, finite, finite, finite)
-def test_property_union_contains_both(a, b, c, d):
-    x, y = ivl(a, b), ivl(c, d)
-    u = x.union(y)
-    assert u.lo <= x.lo and u.hi >= x.hi
-    assert u.lo <= y.lo and u.hi >= y.hi
-    assert x.union(y) == y.union(x)
-
-
-@given(finite, finite, finite, finite)
-def test_property_intersection_consistent_with_intersects(a, b, c, d):
-    x, y = ivl(a, b), ivl(c, d)
-    inter = x.intersection(y)
-    assert (inter is not None) == x.intersects(y)
-    if inter is not None:
-        assert x.contains(inter.lo) and y.contains(inter.lo)
-        assert x.contains(inter.hi) and y.contains(inter.hi)
-
-
-@given(finite, finite, finite)
-def test_property_expanded_contains_value(a, b, v):
-    x = ivl(a, b)
-    assert x.expanded(v).contains(v)

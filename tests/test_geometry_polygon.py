@@ -8,7 +8,6 @@ from repro.geometry import (
     clip_halfplane,
     clip_to_value_band,
     polygon_area,
-    polygon_centroid,
 )
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -28,19 +27,6 @@ def test_area_degenerate():
     assert polygon_area([]) == 0.0
     assert polygon_area([(0.0, 0.0)]) == 0.0
     assert polygon_area([(0.0, 0.0), (1.0, 1.0)]) == 0.0
-
-
-def test_centroid_square():
-    assert polygon_centroid(UNIT_SQUARE) == pytest.approx((0.5, 0.5))
-
-
-def test_centroid_degenerate_falls_back_to_vertex_mean():
-    assert polygon_centroid([(0.0, 0.0), (2.0, 2.0)]) == (1.0, 1.0)
-
-
-def test_centroid_empty_rejected():
-    with pytest.raises(ValueError):
-        polygon_centroid([])
 
 
 def test_clip_halfplane_keeps_half_square():

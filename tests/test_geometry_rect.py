@@ -65,13 +65,11 @@ def test_intersects_closed_boundaries():
     assert not a.intersects(Rect((1.01, 0.0), (2.0, 1.0)))
 
 
-def test_contains_and_contains_point():
+def test_contains():
     outer = Rect((0.0, 0.0), (10.0, 10.0))
     inner = Rect((1.0, 1.0), (2.0, 2.0))
     assert outer.contains(inner)
     assert not inner.contains(outer)
-    assert outer.contains_point((0.0, 10.0))
-    assert not outer.contains_point((-0.1, 5.0))
 
 
 def test_intersection_area():

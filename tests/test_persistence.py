@@ -132,11 +132,12 @@ def test_load_rejects_bad_format(tmp_path, smooth_dem):
 
 
 def test_save_rejects_non_grouped_semantics(tmp_path, smooth_dem):
-    # LinearScanIndex is not a grouped index; save_index is typed for
-    # grouped indexes and must not accept it silently.
+    # LinearScanIndex is not a grouped index; save_index refuses it
+    # with a typed error before writing anything.
     index = LinearScanIndex(smooth_dem)
-    with pytest.raises(AttributeError):
+    with pytest.raises(PersistError, match="LinearScan"):
         save_index(index, tmp_path / "idx")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_loaded_index_has_no_field(tmp_path, smooth_dem):

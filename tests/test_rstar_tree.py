@@ -208,14 +208,6 @@ def test_buffer_pool_serves_repeat_searches():
     assert tree.disk.stats.cache_hits > 0
 
 
-def test_root_mbr():
-    tree = RStarTree(dim=1, max_entries=4)
-    assert tree.root_mbr() is None
-    tree.insert(Rect.from_interval(2.0, 3.0), 0)
-    tree.insert(Rect.from_interval(7.0, 9.0), 1)
-    assert tree.root_mbr() == Rect.from_interval(2.0, 9.0)
-
-
 def test_forced_reinsert_path_is_exercised():
     """With a tiny capacity, inserts trigger reinsert + cascading splits."""
     tree = RStarTree(dim=2, max_entries=5)
